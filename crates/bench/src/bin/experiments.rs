@@ -739,7 +739,7 @@ fn table_e9(smoke: bool) {
         },
         current: BenchRun {
             label: "this tree (compiled join plans + shared persistent indexes + \
-                    prepared stage-3 unions + parallel checking + seeded delta \
+                    prepared stage-3 unions + fanned-out local tests + seeded delta \
                     plans + stage-4 verdict cache)",
             rows,
         },

@@ -8,12 +8,7 @@
 //! outcome the manager reaches without a full check is **identical** when
 //! computed against the local view only — local tests genuinely never read
 //! remote data.
-//!
-//! [`CostModel`] turns the report's metered remote reads into simulated
-//! latency, so experiments can report "time saved" under different
-//! network assumptions without sleeping.
 
-use crate::report::CheckReport;
 use ccpi_storage::{Database, Locality};
 
 /// A database partitioned by locality.
@@ -82,34 +77,6 @@ impl SiteSplit {
             }
         }
         out
-    }
-}
-
-/// A simple network cost model for interpreting metered remote reads.
-#[derive(Clone, Copy, Debug)]
-pub struct CostModel {
-    /// Fixed cost per constraint that needed any remote access, in µs
-    /// (round-trip latency).
-    pub round_trip_us: f64,
-    /// Marginal cost per transferred byte, in µs.
-    pub per_byte_us: f64,
-}
-
-impl Default for CostModel {
-    /// A WAN-ish default: 20 ms round trips, ~10 MB/s effective transfer.
-    fn default() -> Self {
-        CostModel {
-            round_trip_us: 20_000.0,
-            per_byte_us: 0.1,
-        }
-    }
-}
-
-impl CostModel {
-    /// The simulated remote-communication cost of a report, in µs.
-    pub fn cost_us(&self, report: &CheckReport) -> f64 {
-        self.round_trip_us * report.full_checks as f64
-            + self.per_byte_us * report.remote_bytes_read as f64
     }
 }
 
@@ -199,25 +166,5 @@ mod tests {
             assert_eq!(o1, o2, "({a},{b})");
             assert_eq!(r1.remote_tuples_read, 0);
         }
-    }
-
-    #[test]
-    fn cost_model_charges_full_checks_only() {
-        let mut mgr = ConstraintManager::new(sample_db());
-        // The compiled pre-test settles the uncovered insert with a
-        // filtered scan instead of a full check; this test is about the
-        // full-check charge, so keep the legacy ladder.
-        mgr.set_pretest_checking(Some(false));
-        mgr.add_constraint("c", "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y.")
-            .unwrap();
-        let model = CostModel::default();
-        let safe = mgr
-            .check_update(&Update::insert("l", tuple![4, 8]))
-            .unwrap();
-        assert_eq!(model.cost_us(&safe), 0.0);
-        let unsafe_ = mgr
-            .check_update(&Update::insert("l", tuple![15, 25]))
-            .unwrap();
-        assert!(model.cost_us(&unsafe_) >= model.round_trip_us);
     }
 }

@@ -799,33 +799,18 @@ impl DurableManager {
         let mut completed = Vec::with_capacity(updates.len());
         let mut dirty = false;
         let mut admitted_any = false;
-        for (update, mut report) in updates.iter().zip(reports) {
-            let mut admit = report.violations().is_empty() && report.unknowns().is_empty();
-            // Until the state moves, the batch report's certificates are
-            // the evolving-state ones; after that the re-judgment's are.
-            let mut certs = encode_certs(&report);
-            if admit && dirty && !judged.is_empty() {
-                match self.inner.check_update(update) {
-                    Ok(re) => {
-                        admit = re
-                            .outcomes
-                            .iter()
-                            .all(|(name, o)| !judged.contains(name) || o.holds());
-                        certs = encode_certs(&re);
-                        // Hand the caller the re-judgment's certificates
-                        // too: the proofs must bind the state the final
-                        // verdict was rendered on, and match the WAL.
-                        report.certificates = re.certificates;
-                    }
-                    Err(e) => {
-                        return BatchResult {
-                            completed: Vec::new(),
-                            error: Some(e.into()),
-                        };
-                    }
+        for (update, report) in updates.iter().zip(reports) {
+            let (report, admit) = match self.decide(update, report, dirty, &judged) {
+                Ok(decided) => decided,
+                Err(e) => {
+                    return BatchResult {
+                        completed: Vec::new(),
+                        error: Some(e.into()),
+                    };
                 }
-            }
+            };
             if admit {
+                let certs = encode_certs(&report);
                 if let Err(e) = self.log_deferred_and_apply(update, certs) {
                     return BatchResult {
                         completed: Vec::new(),
@@ -884,6 +869,38 @@ impl DurableManager {
         self.admit_batch(updates, reports, true)
     }
 
+    /// The deciding report for one update of a checked batch, and whether
+    /// it admits. Until an admission has moved the state (`dirty`), that
+    /// is the batch's pre-state report. After, a clean-looking update is
+    /// re-judged against the evolving database, and the re-judgment
+    /// decides: its outcomes for the `judged` constraints, its
+    /// certificates (the proofs must bind the state the verdict was
+    /// rendered on, and match the WAL), so a rejection names the
+    /// constraint that caused it. Constraints outside `judged` keep the
+    /// pre-state outcome, and the report keeps the pre-state wire counters:
+    /// the re-judgment reads nothing remote.
+    fn decide(
+        &mut self,
+        update: &Update,
+        first: CheckReport,
+        dirty: bool,
+        judged: &[String],
+    ) -> Result<(CheckReport, bool), ManagerError> {
+        if !first.all_hold() || !dirty || judged.is_empty() {
+            let admit = first.all_hold();
+            return Ok((first, admit));
+        }
+        let mut re = self.inner.check_update(update)?;
+        for (name, outcome) in &mut re.outcomes {
+            if let Some(kept) = first.outcome(name).filter(|_| !judged.contains(name)) {
+                *outcome = kept;
+            }
+        }
+        re.wire = first.wire;
+        let admit = re.all_hold();
+        Ok((re, admit))
+    }
+
     /// Admits a checked batch in order. `reports` were computed against
     /// the pre-batch state; once an admission has moved the state past
     /// it, each later clean-looking update is re-judged against the
@@ -909,33 +926,18 @@ impl DurableManager {
             .collect();
         let mut completed = Vec::with_capacity(updates.len());
         let mut dirty = false;
-        for (update, mut report) in updates.iter().zip(reports) {
-            let mut admit = report.violations().is_empty() && report.unknowns().is_empty();
-            // Until the state moves, the batch report's certificates are
-            // the evolving-state ones; after that the re-judgment's are.
-            let mut certs = encode_certs(&report);
-            if admit && dirty && !judged.is_empty() {
-                match self.inner.check_update(update) {
-                    Ok(re) => {
-                        admit = re
-                            .outcomes
-                            .iter()
-                            .all(|(name, o)| !judged.contains(name) || o.holds());
-                        certs = encode_certs(&re);
-                        // Hand the caller the re-judgment's certificates
-                        // too: the proofs must bind the state the final
-                        // verdict was rendered on, and match the WAL.
-                        report.certificates = re.certificates;
-                    }
-                    Err(e) => {
-                        return BatchResult {
-                            completed,
-                            error: Some(e.into()),
-                        };
-                    }
+        for (update, report) in updates.iter().zip(reports) {
+            let (report, admit) = match self.decide(update, report, dirty, &judged) {
+                Ok(decided) => decided,
+                Err(e) => {
+                    return BatchResult {
+                        completed,
+                        error: Some(e.into()),
+                    };
                 }
-            }
+            };
             if admit {
+                let certs = encode_certs(&report);
                 if let Err(e) = self.log_and_apply(update, certs) {
                     return BatchResult {
                         completed,
@@ -1367,6 +1369,38 @@ mod tests {
             .unwrap()
             .contains(&tuple!["toys"]));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn rejudged_rejection_names_the_violated_constraint() {
+        // The insert is clean against the pre-batch state; only the
+        // re-judgment after the applied delete sees it dangle. Both batch
+        // admission paths must report the constraint that rejected it.
+        let updates = vec![
+            Update::delete("dept", tuple!["toys"]),
+            Update::insert("emp", tuple!["x", "toys", 50]),
+        ];
+        for grouped in [true, false] {
+            let dir = scratch_dir("durable-rejudge-names");
+            let mut mgr = build_store(&dir);
+            let result = if grouped {
+                mgr.process_updates_grouped(&updates)
+            } else {
+                mgr.process_updates(&updates)
+            };
+            assert!(result.error.is_none());
+            assert!(result.completed[0].1, "the delete is admitted");
+            let (report, admitted) = &result.completed[1];
+            assert!(!admitted, "grouped={grouped}");
+            assert_eq!(
+                report.violations(),
+                vec!["referential"],
+                "grouped={grouped}"
+            );
+            assert!(report.unknowns().is_empty());
+            drop(mgr);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

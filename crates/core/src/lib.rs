@@ -66,7 +66,7 @@ pub use sharding::{constraint_scope, fragment_verdict_final, ShardScope};
 /// Convenient re-exports for applications.
 pub mod prelude {
     pub use crate::active::{ActiveRule, ActiveRuleSet};
-    pub use crate::distributed::{CostModel, SiteSplit};
+    pub use crate::distributed::SiteSplit;
     pub use crate::durable::{BatchResult, DurableError, DurableManager, RecoveryReport};
     pub use crate::manager::{ConstraintManager, ManagerError};
     pub use crate::pipeline::{Applicability, CostClass, PlanShape, StageId};

@@ -3,7 +3,7 @@
 use crate::pipeline::{Applicability, PlanShape, StageId, StagePipeline};
 use crate::remote::RemoteSource;
 use crate::report::{
-    CheckReport, LocalTestKind, Method, Outcome, Stage4Kind, StageTimes, UnknownCause,
+    CheckReport, LocalTestKind, Method, Outcome, Stage4Kind, StageTimes, UnknownCause, WireStats,
 };
 use ccpi_arith::Solver;
 use ccpi_audit::{matcher as audit_matcher, Certificate, CertificateBody, Stage as CertStage};
@@ -96,8 +96,9 @@ struct Registered {
     /// Stage-3 cache: the Theorem 5.2 union (this constraint's reductions
     /// plus its siblings' over the shared local relation), prepared once
     /// per relation version and probed by every subsequent check. Interior
-    /// mutability because checks take `&self`; under the parallel checker
-    /// each scoped thread only ever touches its own constraint's slot.
+    /// mutability because checks take `&self`; when the check loop fans
+    /// local tests out, each scoped thread touches only its own
+    /// constraint's slot.
     union_cache: Mutex<Option<UnionCache>>,
     /// Stage-4 verdict cache: the last full-check verdict with its
     /// validity key. Same interior-mutability discipline as `union_cache`.
@@ -192,15 +193,20 @@ fn micros_since(t0: Instant) -> f64 {
     t0.elapsed().as_secs_f64() * 1e6
 }
 
-/// Phase A of a parallel check: everything decidable without the
-/// post-update snapshot.
-enum PhaseA {
-    /// The cheap stages settled it.
+/// The host's core count: how many local tests can overlap.
+fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Where one (constraint, update) pair stands in the check loop.
+enum Slot {
+    /// Settled without stage 4: by a cheap stage, or `Unknown` because a
+    /// remote relation it needs could not be fetched.
     Cheap(CheapOutcome),
-    /// Stage 4 settled it via the verdict cache or the delta path.
-    Settled(Stage4Result),
-    /// Needs the shared post-update snapshot (phase B).
-    NeedsSnapshot,
+    /// Escalated; stage 4 has not run yet.
+    Pending,
+    /// Settled by stage 4.
+    Full(Stage4Result),
 }
 
 fn verdict_outcome(violated: bool) -> Outcome {
@@ -227,9 +233,6 @@ pub struct ConstraintManager {
     db: Database,
     solver: Solver,
     constraints: Vec<Registered>,
-    /// `Some(v)` pins parallel checking on/off; `None` decides per call
-    /// (more than one constraint, more than one core, no remote source).
-    parallel_override: Option<bool>,
     /// `Some(false)` disables the stage-4 delta path (every escalation
     /// takes the snapshot fallback) — for A/B measurement and debugging.
     delta_override: Option<bool>,
@@ -263,7 +266,6 @@ impl ConstraintManager {
             db,
             solver,
             constraints: Vec::new(),
-            parallel_override: None,
             delta_override: None,
             pretest_override: None,
             post_memo: None,
@@ -314,14 +316,6 @@ impl ConstraintManager {
     /// against an unchanged database builds it at most once.
     pub fn post_snapshot_rebuilds(&self) -> usize {
         self.post_rebuilds
-    }
-
-    /// Pins parallel checking on or off; `None` restores the default
-    /// (parallel when several constraints are registered and the host has
-    /// more than one core). Checks through a remote source stay sequential
-    /// regardless — their stage-4 hydration mutates shared state.
-    pub fn set_parallel_checking(&mut self, enabled: Option<bool>) {
-        self.parallel_override = enabled;
     }
 
     /// Turns proof-carrying verdicts on or off (default off). When on,
@@ -462,9 +456,11 @@ impl ConstraintManager {
 
     /// Checks one update against every constraint **without applying it**.
     /// Assumes all constraints hold on the current database (the paper's
-    /// standing assumption, §2).
+    /// standing assumption, §2). A batch of one: the report equals
+    /// `check_updates(&[update.clone()])[0]`.
     pub fn check_update(&mut self, update: &Update) -> Result<CheckReport, ManagerError> {
-        self.check_update_inner(update, None)
+        let mut reports = self.check_loop(std::slice::from_ref(update), None, host_cores)?;
+        Ok(reports.pop().expect("one report per update"))
     }
 
     /// Like [`check_update`](Self::check_update), but the manager's
@@ -483,7 +479,9 @@ impl ConstraintManager {
         update: &Update,
         remote: &mut dyn RemoteSource,
     ) -> Result<CheckReport, ManagerError> {
-        self.check_update_inner(update, Some(remote))
+        let mut reports =
+            self.check_loop(std::slice::from_ref(update), Some(remote), host_cores)?;
+        Ok(reports.pop().expect("one report per update"))
     }
 
     /// Checks a batch of updates **without applying any of them**. Report
@@ -495,7 +493,7 @@ impl ConstraintManager {
     /// memoized post-update build per distinct update, and duplicate
     /// updates hit the stage-4 verdict cache.
     pub fn check_updates(&mut self, updates: &[Update]) -> Result<Vec<CheckReport>, ManagerError> {
-        self.check_updates_inner(updates, None)
+        self.check_loop(updates, None, host_cores)
     }
 
     /// Batch variant of
@@ -513,47 +511,106 @@ impl ConstraintManager {
         updates: &[Update],
         remote: &mut dyn RemoteSource,
     ) -> Result<Vec<CheckReport>, ManagerError> {
-        self.check_updates_inner(updates, Some(remote))
+        self.check_loop(updates, Some(remote), host_cores)
     }
 
-    fn check_updates_inner(
+    /// The one check loop behind every public check entry point, in
+    /// three passes:
+    ///
+    /// 1. **cheap stages**, constraint-major. They read no remote
+    ///    contents (pre-tests whose residuals read remote relations are
+    ///    skipped while a remote source is in play; local tests read only
+    ///    `L`), so they run before any hydration. A constraint gets a
+    ///    scoped thread of its own only when it runs a §5–6 local test
+    ///    on some update of the call, at least two constraints do, and
+    ///    `workers()` reports two or more cores; everything else runs on
+    ///    the calling thread, where a µs-scale stage costs less than a
+    ///    thread spawn;
+    /// 2. **hydration**, update-major, only with a remote source: the
+    ///    remote relations every escalated constraint reads, each fetched
+    ///    at most once per call;
+    /// 3. **stage 4**, constraint-major, on the calling thread.
+    ///
+    /// `workers` is asked only once two constraints qualify, so the
+    /// inline path never queries the host.
+    fn check_loop(
         &mut self,
         updates: &[Update],
-        mut remote: Option<&mut dyn RemoteSource>,
+        remote: Option<&mut dyn RemoteSource>,
+        workers: fn() -> usize,
     ) -> Result<Vec<CheckReport>, ManagerError> {
-        /// Where update × constraint landed after the cheap stages.
-        enum Slot {
-            Done(CheapOutcome),
-            Stage4,
-        }
         let n = self.constraints.len();
+        let mut times = vec![StageTimes::default(); updates.len()];
 
-        // Pass 1, update-major: the cheap stages and hydration. The
-        // `hydrated` map persists across the whole batch, so each remote
-        // relation is fetched at most once; the per-update wire delta
-        // attributes each fetch to the first update whose escalation
-        // needed it.
-        let mut slots: Vec<Vec<Slot>> = Vec::with_capacity(updates.len());
-        let mut wires = Vec::with_capacity(updates.len());
-        let mut times: Vec<StageTimes> = vec![StageTimes::default(); updates.len()];
+        // Pass 1: `slots[i][u]` is where constraint `i` stands on update
+        // `u` once the cheap stages ran.
+        let remote_in_play = remote.is_some();
+        let this = &*self;
+        let cheap = move |i: usize| -> Vec<(Slot, StageTimes)> {
+            updates
+                .iter()
+                .map(|update| {
+                    let mut t = StageTimes::default();
+                    let slot = match this.try_cheap_stages(i, update, remote_in_play, &mut t) {
+                        Some(c) => Slot::Cheap(c),
+                        None => Slot::Pending,
+                    };
+                    (slot, t)
+                })
+                .collect()
+        };
+        let fan: Vec<bool> = (0..n)
+            .map(|i| updates.iter().any(|u| this.runs_local_test(i, u)))
+            .collect();
+        let columns: Vec<Vec<(Slot, StageTimes)>> =
+            if fan.iter().filter(|&&f| f).count() >= 2 && workers() >= 2 {
+                std::thread::scope(|scope| {
+                    let spawned: Vec<_> = (0..n)
+                        .map(|i| fan[i].then(|| scope.spawn(move || cheap(i))))
+                        .collect();
+                    let mut columns: Vec<_> = (0..n)
+                        .map(|i| if fan[i] { Vec::new() } else { cheap(i) })
+                        .collect();
+                    for (column, h) in columns.iter_mut().zip(spawned) {
+                        if let Some(h) = h {
+                            *column = h.join().expect("constraint checker thread panicked");
+                        }
+                    }
+                    columns
+                })
+            } else {
+                (0..n).map(cheap).collect()
+            };
+        let mut slots: Vec<Vec<Slot>> = Vec::with_capacity(n);
+        for column in columns {
+            let mut row = Vec::with_capacity(updates.len());
+            for (u, (slot, t)) in column.into_iter().enumerate() {
+                times[u].absorb(&t);
+                row.push(slot);
+            }
+            slots.push(row);
+        }
+
+        // Pass 2: hydration. The `hydrated` map persists across the
+        // whole call, so each remote relation is fetched at most once;
+        // the per-update wire delta attributes each fetch to the first
+        // update whose escalation needed it.
+        let mut wires = vec![WireStats::default(); updates.len()];
         let mut hydrated: BTreeMap<String, bool> = BTreeMap::new();
-        for (u, update) in updates.iter().enumerate() {
-            // Successful hydrations persist for the whole batch; *failed*
-            // ones are forgotten at each update boundary, so a transient
-            // fault degrades the update that hit it and the next update
-            // re-tries the fetch. One poisoned exchange must not flip an
-            // unrelated update's verdict to Unknown.
-            hydrated.retain(|_, ok| *ok);
-            let stats_before = remote.as_deref().map(|r| r.wire_stats());
-            let mut row = Vec::with_capacity(n);
-            for i in 0..n {
-                if let Some(cheap) =
-                    self.try_cheap_stages(i, update, remote.is_some(), &mut times[u])
-                {
-                    row.push(Slot::Done(cheap));
-                    continue;
-                }
-                if let Some(src) = remote.as_deref_mut() {
+        if let Some(src) = remote {
+            for (u, wire) in wires.iter_mut().enumerate() {
+                // Successful hydrations persist for the whole call;
+                // *failed* ones are forgotten at each update boundary, so
+                // a transient fault degrades the update that hit it and
+                // the next update re-tries the fetch. One poisoned
+                // exchange must not flip an unrelated update's verdict to
+                // Unknown.
+                hydrated.retain(|_, ok| *ok);
+                let before = src.wire_stats();
+                for (i, row) in slots.iter_mut().enumerate() {
+                    if !matches!(row[u], Slot::Pending) {
+                        continue;
+                    }
                     let preds: Vec<String> = self.constraints[i]
                         .constraint
                         .program()
@@ -567,218 +624,145 @@ impl ConstraintManager {
                         let ok = match hydrated.get(&pred) {
                             Some(&ok) => ok,
                             None => {
+                                // Hydration swaps the relation's tuple
+                                // set, so the memoized post-update
+                                // snapshot's pins go stale on their own.
                                 let ok = self.hydrate_remote(src, &pred);
-                                hydrated.insert(pred.clone(), ok);
+                                hydrated.insert(pred, ok);
                                 ok
                             }
                         };
                         reachable &= ok;
                     }
                     if !reachable {
-                        row.push(Slot::Done(CheapOutcome::free(Outcome::Unknown(
+                        row[u] = Slot::Cheap(CheapOutcome::free(Outcome::Unknown(
                             UnknownCause::RemoteUnavailable,
-                        ))));
-                        continue;
+                        )));
                     }
                 }
-                row.push(Slot::Stage4);
+                *wire = src.wire_stats().delta_since(&before);
             }
-            wires.push(match (&stats_before, remote.as_deref()) {
-                (Some(before), Some(src)) => src.wire_stats().delta_since(before),
-                _ => Default::default(),
-            });
-            slots.push(row);
         }
 
-        // Pass 2, constraint-major: stage 4. Cache-missed eligible updates
-        // go through the constraint's delta plans in one batched pass over
-        // one relation load; the rest share the memoized post-update
-        // snapshot per distinct update.
-        let deltas: Vec<DeltaSet> = updates.iter().map(DeltaSet::from_update).collect();
-        let mut stage4: BTreeMap<(usize, usize), Stage4Result> = BTreeMap::new();
-        for i in 0..n {
-            let mut batched: Vec<usize> = Vec::new();
-            for (u, row) in slots.iter().enumerate() {
-                if !matches!(row[i], Slot::Stage4) {
-                    continue;
-                }
-                let t0 = Instant::now();
-                if let Some(hit) = self.stage4_probe(i, &updates[u]) {
-                    stage4.insert((u, i), hit);
-                } else if self.delta_eligible(i, &deltas[u]) {
-                    batched.push(u);
-                } else {
-                    self.ensure_post_snapshot(&updates[u])?;
-                    let after = &self.post_memo.as_ref().expect("just built").after;
-                    let violated = self.constraints[i].engine.run(after).derives_panic();
-                    let (tuples, bytes) = self.remote_cost(i);
-                    self.stage4_store(i, &updates[u], violated, tuples, bytes);
-                    stage4.insert(
-                        (u, i),
-                        Stage4Result {
+        // Pass 3: stage 4, in cost order per escalation — the verdict
+        // cache (same update, same version of every relation the
+        // constraint reads); the delta path, when the registration-time
+        // monotonicity analysis says the Δ decides the verdict (seeded
+        // plans over the *pre-update* relations, batched per constraint
+        // over one relation load); else the engine on the memoized
+        // copy-on-write post-update snapshot. The delta path leans on the
+        // standing assumption (§2): the pre-update database satisfies the
+        // constraint, so a post-update violation must derive through a
+        // Δ-tuple.
+        if slots.iter().flatten().any(|s| matches!(s, Slot::Pending)) {
+            let deltas: Vec<DeltaSet> = updates.iter().map(DeltaSet::from_update).collect();
+            for (i, row) in slots.iter_mut().enumerate() {
+                let mut batched: Vec<usize> = Vec::new();
+                for (u, update) in updates.iter().enumerate() {
+                    if !matches!(row[u], Slot::Pending) {
+                        continue;
+                    }
+                    let t0 = Instant::now();
+                    if let Some(hit) = self.stage4_probe(i, update) {
+                        row[u] = Slot::Full(hit);
+                    } else if self.delta_eligible(i, &deltas[u]) {
+                        batched.push(u);
+                    } else {
+                        self.ensure_post_snapshot(update)?;
+                        let after = &self.post_memo.as_ref().expect("just built").after;
+                        let violated = self.constraints[i].engine.run(after).derives_panic();
+                        let (tuples, bytes) = self.remote_cost(i);
+                        self.stage4_store(i, update, violated, tuples, bytes);
+                        row[u] = Slot::Full(Stage4Result {
                             outcome: verdict_outcome(violated),
                             tuples,
                             bytes,
                             kind: Stage4Kind::FullSnapshot,
                             seeds: 0,
-                        },
-                    );
+                        });
+                    }
+                    times[u].stage4_us += micros_since(t0);
                 }
-                times[u].stage4_us += micros_since(t0);
-            }
-            if batched.is_empty() {
-                continue;
-            }
-            let t0 = Instant::now();
-            let (tuples, bytes) = self.remote_cost(i);
-            let ds: Vec<DeltaSet> = batched.iter().map(|&u| deltas[u].clone()).collect();
-            let verdicts = self.constraints[i].delta.check_batch(&self.db, &ds);
-            for (&u, v) in batched.iter().zip(&verdicts) {
-                self.stage4_store(i, &updates[u], v.violated, tuples, bytes);
-                stage4.insert(
-                    (u, i),
-                    Stage4Result {
+                if batched.is_empty() {
+                    continue;
+                }
+                let t0 = Instant::now();
+                let (tuples, bytes) = self.remote_cost(i);
+                let ds: Vec<DeltaSet> = batched.iter().map(|&u| deltas[u].clone()).collect();
+                let verdicts = self.constraints[i].delta.check_batch(&self.db, &ds);
+                for (&u, v) in batched.iter().zip(&verdicts) {
+                    self.stage4_store(i, &updates[u], v.violated, tuples, bytes);
+                    row[u] = Slot::Full(Stage4Result {
                         outcome: verdict_outcome(v.violated),
                         tuples,
                         bytes,
                         kind: Stage4Kind::DeltaSeeded,
                         seeds: v.seeds_joined,
-                    },
-                );
-            }
-            // One timed pass decided the whole batch slice: attribute an
-            // equal share to each update it settled.
-            let share = micros_since(t0) / batched.len() as f64;
-            for &u in &batched {
-                times[u].stage4_us += share;
+                    });
+                }
+                // One timed pass decided the whole batch slice: attribute
+                // an equal share to each update it settled.
+                let share = micros_since(t0) / batched.len() as f64;
+                for &u in &batched {
+                    times[u].stage4_us += share;
+                }
             }
         }
 
-        // Assemble per-update reports in registration order, then restore
-        // the local view.
+        // Assemble per-update reports in registration order, then
+        // restore the local view.
         let mut reports = Vec::with_capacity(updates.len());
-        for (u, row) in slots.into_iter().enumerate() {
+        for (u, update) in updates.iter().enumerate() {
             let mut report = CheckReport::default();
-            for (i, slot) in row.into_iter().enumerate() {
+            for (i, row) in slots.iter_mut().enumerate() {
                 let name = self.constraints[i].name.clone();
-                match slot {
-                    Slot::Done(cheap) => {
+                match std::mem::replace(&mut row[u], Slot::Pending) {
+                    Slot::Cheap(cheap) => {
                         report.outcomes.push((name, cheap.outcome));
                         report.remote_tuples_read += cheap.tuples;
                         report.remote_bytes_read += cheap.bytes;
                     }
-                    Slot::Stage4 => {
-                        let r = stage4
-                            .remove(&(u, i))
-                            .expect("pass 2 covered every escalation");
-                        push_stage4(&mut report, name, r);
-                    }
+                    Slot::Full(r) => push_stage4(&mut report, name, r),
+                    Slot::Pending => unreachable!("pass 3 settled every escalation"),
                 }
             }
             report.wire = wires[u];
             report.stage_times = times[u];
-            self.certify_report(&updates[u], &mut report)?;
+            self.certify_report(update, &mut report)?;
             reports.push(report);
         }
-        if remote.is_some() {
-            for (pred, ok) in &hydrated {
-                if *ok {
-                    if let Some(rel) = self.db.relation_mut(pred) {
-                        rel.clear();
-                    }
+        for (pred, ok) in &hydrated {
+            if *ok {
+                if let Some(rel) = self.db.relation_mut(pred) {
+                    rel.clear();
                 }
             }
         }
         Ok(reports)
     }
 
-    fn check_update_inner(
-        &mut self,
-        update: &Update,
-        mut remote: Option<&mut dyn RemoteSource>,
-    ) -> Result<CheckReport, ManagerError> {
-        // Independent constraints can be checked in parallel: stages 1–3
-        // are read-only, and stage 4 runs read-only against a shared
-        // post-update snapshot. The remote path stays sequential — its
-        // stage-4 hydration mutates the local view in place.
-        if remote.is_none() && self.parallel_wanted() {
-            return self.check_update_parallel(update);
+    /// Does constraint `i`'s cheap ladder run a §5–6 local test on
+    /// `update`? Read from what registration compiled: an insert whose
+    /// plan holds a local-test stage the delta path does not gate, or —
+    /// off the compiled pipeline — the legacy ladder's local test.
+    fn runs_local_test(&self, i: usize, update: &Update) -> bool {
+        let Update::Insert { pred, .. } = update else {
+            return false;
+        };
+        let reg = &self.constraints[i];
+        if !self.pretest_wanted() || !reg.pretests.compiled() {
+            return reg
+                .cqc
+                .as_ref()
+                .is_some_and(|c| c.local_pred().as_str() == pred.as_str())
+                && !self.stage4_beats_local_test(i, update);
         }
-        let mut report = CheckReport::default();
-        let mut times = StageTimes::default();
-        let stats_before = remote.as_deref().map(|r| r.wire_stats());
-        // Remote relations hydrated so far this call: pred → fetch ok?
-        let mut hydrated: BTreeMap<String, bool> = BTreeMap::new();
-
-        let n = self.constraints.len();
-        for i in 0..n {
-            // The cheap stages (compiled pipeline or legacy ladder).
-            if let Some(cheap) = self.try_cheap_stages(i, update, remote.is_some(), &mut times) {
-                report
-                    .outcomes
-                    .push((self.constraints[i].name.clone(), cheap.outcome));
-                report.remote_tuples_read += cheap.tuples;
-                report.remote_bytes_read += cheap.bytes;
-                continue;
-            }
-
-            // Stage 4 — full check (reads remote data). With a remote
-            // source, hydrate the remote relations the constraint mentions
-            // first; a failed fetch degrades the outcome to Unknown.
-            if let Some(src) = remote.as_deref_mut() {
-                let preds: Vec<String> = self.constraints[i]
-                    .constraint
-                    .program()
-                    .edb_predicates()
-                    .into_iter()
-                    .filter(|p| self.db.locality(p.as_str()) == Some(Locality::Remote))
-                    .map(|p| p.as_str().to_string())
-                    .collect();
-                let mut reachable = true;
-                for pred in preds {
-                    let ok = match hydrated.get(&pred) {
-                        Some(&ok) => ok,
-                        None => {
-                            // Hydration swaps the relation's tuple set,
-                            // so the memoized post-update snapshot's pins
-                            // go stale on their own — no manual reset.
-                            let ok = self.hydrate_remote(src, &pred);
-                            hydrated.insert(pred.clone(), ok);
-                            ok
-                        }
-                    };
-                    reachable &= ok;
-                }
-                if !reachable {
-                    report.outcomes.push((
-                        self.constraints[i].name.clone(),
-                        Outcome::Unknown(UnknownCause::RemoteUnavailable),
-                    ));
-                    continue;
-                }
-            }
-            let t0 = Instant::now();
-            let r4 = self.full_check(i, update)?;
-            times.stage4_us += micros_since(t0);
-            push_stage4(&mut report, self.constraints[i].name.clone(), r4);
-        }
-        report.stage_times = times;
-        self.certify_report(update, &mut report)?;
-
-        if let Some(src) = remote.as_deref() {
-            // Restore the local view: drop the hydrated remote contents.
-            for (pred, ok) in &hydrated {
-                if *ok {
-                    if let Some(rel) = self.db.relation_mut(pred) {
-                        rel.clear();
-                    }
-                }
-            }
-            if let Some(before) = stats_before {
-                report.wire = src.wire_stats().delta_since(&before);
-            }
-        }
-        Ok(report)
+        let delta_on = self.delta_override.unwrap_or(true);
+        reg.pipeline
+            .plan(&UpdateTemplate::of(update))
+            .stages()
+            .iter()
+            .any(|s| s.id == StageId::LocalTest && !(s.delta_gated && delta_on))
     }
 
     /// The sibling constraints of `i` (everything else, registration
@@ -965,151 +949,6 @@ impl ConstraintManager {
                 .edb_predicates()
                 .iter()
                 .all(|p| self.db.locality(p.as_str()) != Some(Locality::Remote))
-    }
-
-    /// Should this check fan out across threads?
-    fn parallel_wanted(&self) -> bool {
-        match self.parallel_override {
-            Some(v) => v && self.constraints.len() > 1,
-            // Default: only when threads can actually overlap. On one core
-            // the sequential path is strictly better — it applies/undoes
-            // the update in place instead of snapshotting the database.
-            None => {
-                self.constraints.len() > 1
-                    && std::thread::available_parallelism().map_or(1, |n| n.get()) > 1
-            }
-        }
-    }
-
-    /// Checks every constraint with the work fanned out over scoped
-    /// threads, in two phases. Phase A runs everything that needs no
-    /// post-update snapshot — stages 1–3, the stage-4 verdict cache, and
-    /// the seeded delta path — so an all-delta check never clones the
-    /// database at all. Phase B builds the memoized snapshot once for
-    /// whatever remains. Outcomes are merged back **in registration
-    /// order**, so the report equals the sequential path's.
-    fn check_update_parallel(&mut self, update: &Update) -> Result<CheckReport, ManagerError> {
-        let n = self.constraints.len();
-        let delta = DeltaSet::from_update(update);
-        let phase_a: Vec<(PhaseA, StageTimes)> = std::thread::scope(|scope| {
-            let this = &*self;
-            let delta = &delta;
-            let handles: Vec<_> = (0..n)
-                .map(|i| scope.spawn(move || this.check_one_phase_a(i, update, delta)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("constraint checker thread panicked"))
-                .collect()
-        });
-        let mut times = StageTimes::default();
-        for (_, t) in &phase_a {
-            times.absorb(t);
-        }
-
-        let pending: Vec<usize> = phase_a
-            .iter()
-            .enumerate()
-            .filter(|(_, (r, _))| matches!(r, PhaseA::NeedsSnapshot))
-            .map(|(i, _)| i)
-            .collect();
-        let mut snapshot_results: BTreeMap<usize, Stage4Result> = BTreeMap::new();
-        if !pending.is_empty() {
-            let t0 = Instant::now();
-            self.ensure_post_snapshot(update)?;
-            let after = &self.post_memo.as_ref().expect("just built").after;
-            let this = &*self;
-            let verdicts: Vec<(usize, bool)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = pending
-                    .iter()
-                    .map(|&i| {
-                        scope.spawn(move || {
-                            (i, this.constraints[i].engine.run(after).derives_panic())
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("constraint checker thread panicked"))
-                    .collect()
-            });
-            for (i, violated) in verdicts {
-                let (tuples, bytes) = self.remote_cost(i);
-                self.stage4_store(i, update, violated, tuples, bytes);
-                snapshot_results.insert(
-                    i,
-                    Stage4Result {
-                        outcome: verdict_outcome(violated),
-                        tuples,
-                        bytes,
-                        kind: Stage4Kind::FullSnapshot,
-                        seeds: 0,
-                    },
-                );
-            }
-            times.stage4_us += micros_since(t0);
-        }
-
-        let mut report = CheckReport::default();
-        for (i, (a, _)) in phase_a.into_iter().enumerate() {
-            let name = self.constraints[i].name.clone();
-            match a {
-                PhaseA::Cheap(cheap) => {
-                    report.outcomes.push((name, cheap.outcome));
-                    report.remote_tuples_read += cheap.tuples;
-                    report.remote_bytes_read += cheap.bytes;
-                }
-                PhaseA::Settled(r) => push_stage4(&mut report, name, r),
-                PhaseA::NeedsSnapshot => {
-                    let r = snapshot_results
-                        .remove(&i)
-                        .expect("phase B covered every pending constraint");
-                    push_stage4(&mut report, name, r);
-                }
-            }
-        }
-        report.stage_times = times;
-        self.certify_report(update, &mut report)?;
-        Ok(report)
-    }
-
-    /// One constraint's snapshot-free ladder: the cheap stages, then the
-    /// stage-4 verdict cache, then the seeded delta path. Read-only up to
-    /// this constraint's own cache slot. The parallel path never runs
-    /// with a remote source, so pre-tests are never suppressed here.
-    fn check_one_phase_a(
-        &self,
-        i: usize,
-        update: &Update,
-        delta: &DeltaSet,
-    ) -> (PhaseA, StageTimes) {
-        let mut times = StageTimes::default();
-        if let Some(cheap) = self.try_cheap_stages(i, update, false, &mut times) {
-            return (PhaseA::Cheap(cheap), times);
-        }
-        let t0 = Instant::now();
-        if let Some(hit) = self.stage4_probe(i, update) {
-            times.stage4_us += micros_since(t0);
-            return (PhaseA::Settled(hit), times);
-        }
-        if self.delta_eligible(i, delta) {
-            let (tuples, bytes) = self.remote_cost(i);
-            let v = self.constraints[i].delta.check(&self.db, delta);
-            self.stage4_store(i, update, v.violated, tuples, bytes);
-            times.stage4_us += micros_since(t0);
-            return (
-                PhaseA::Settled(Stage4Result {
-                    outcome: verdict_outcome(v.violated),
-                    tuples,
-                    bytes,
-                    kind: Stage4Kind::DeltaSeeded,
-                    seeds: v.seeds_joined,
-                }),
-                times,
-            );
-        }
-        times.stage4_us += micros_since(t0);
-        (PhaseA::NeedsSnapshot, times)
     }
 
     /// Remote tuples/bytes a full check of constraint `i` consults: every
@@ -1349,47 +1188,6 @@ impl ConstraintManager {
             extend_union(&mut union, ocqc, local).ok()?;
         }
         Some(UnionCache { snapshot, union })
-    }
-
-    /// Stage 4 — full evaluation of the constraint on the post-update
-    /// database, in cost order:
-    ///
-    /// 1. **verdict cache** — same update, same version of every relation
-    ///    the constraint reads: return the memoized verdict;
-    /// 2. **delta path** — when the registration-time monotonicity
-    ///    analysis says the Δ decides the verdict, run the seeded plans
-    ///    over the *pre-update* relations (no snapshot is ever built);
-    /// 3. **snapshot fallback** — evaluate the engine against the
-    ///    memoized copy-on-write post-update snapshot.
-    ///
-    /// The delta path leans on the paper's standing assumption (§2): the
-    /// pre-update database satisfies the constraint, so a post-update
-    /// violation must have a derivation through a Δ-tuple.
-    fn full_check(&mut self, i: usize, update: &Update) -> Result<Stage4Result, ManagerError> {
-        if let Some(hit) = self.stage4_probe(i, update) {
-            return Ok(hit);
-        }
-        // Remote cost: every remote relation the constraint mentions must
-        // be consulted.
-        let (tuples, bytes) = self.remote_cost(i);
-        let delta = DeltaSet::from_update(update);
-        let (violated, kind, seeds) = if self.delta_eligible(i, &delta) {
-            let v = self.constraints[i].delta.check(&self.db, &delta);
-            (v.violated, Stage4Kind::DeltaSeeded, v.seeds_joined)
-        } else {
-            self.ensure_post_snapshot(update)?;
-            let after = &self.post_memo.as_ref().expect("just built").after;
-            let violated = self.constraints[i].engine.run(after).derives_panic();
-            (violated, Stage4Kind::FullSnapshot, 0)
-        };
-        self.stage4_store(i, update, violated, tuples, bytes);
-        Ok(Stage4Result {
-            outcome: verdict_outcome(violated),
-            tuples,
-            bytes,
-            kind,
-            seeds,
-        })
     }
 
     /// Probes constraint `i`'s stage-4 verdict cache.
@@ -2171,12 +1969,18 @@ mod tests {
     }
 
     /// A three-constraint employee schema with enough data that every
-    /// ladder stage is reachable.
+    /// ladder stage is reachable; `dept` and `salRange` are remote (the
+    /// paper's partial-information setting).
     pub(super) fn emp_mgr() -> ConstraintManager {
+        emp_mgr_with(Locality::Remote)
+    }
+
+    /// [`emp_mgr`] with `dept` and `salRange` declared `elsewhere`.
+    fn emp_mgr_with(elsewhere: Locality) -> ConstraintManager {
         let mut db = Database::new();
         db.declare("emp", 3, Locality::Local).unwrap();
-        db.declare("dept", 1, Locality::Remote).unwrap();
-        db.declare("salRange", 3, Locality::Remote).unwrap();
+        db.declare("dept", 1, elsewhere).unwrap();
+        db.declare("salRange", 3, elsewhere).unwrap();
         for (e, d, s) in [("ann", "sales", 80i64), ("bob", "toys", 95)] {
             db.insert("emp", tuple![e, d, s]).unwrap();
         }
@@ -2200,8 +2004,42 @@ mod tests {
         mgr
     }
 
+    /// The constraints the check loop fans out for `update`.
+    fn fanned_out(mgr: &ConstraintManager, update: &Update) -> Vec<String> {
+        (0..mgr.constraints.len())
+            .filter(|&i| mgr.runs_local_test(i, update))
+            .map(|i| mgr.constraints[i].name.clone())
+            .collect()
+    }
+
     #[test]
-    fn parallel_checking_matches_sequential_reports_exactly() {
+    fn only_active_local_tests_fan_out() {
+        let updates = [
+            Update::insert("emp", tuple!["carol", "sales", 50]),
+            Update::delete("emp", tuple!["ann", "sales", 80]),
+            Update::insert("dept", tuple!["garden"]),
+            Update::delete("dept", tuple!["sales"]),
+        ];
+        // All local: the delta path gates every local test, so nothing
+        // leaves the calling thread.
+        let local = emp_mgr_with(Locality::Local);
+        for u in &updates {
+            assert!(fanned_out(&local, u).is_empty(), "{u:?} fans out");
+        }
+        // Partial locality: an emp insert runs the §5 tests of exactly
+        // the two salary constraints; nothing else fans out.
+        let partial = emp_mgr();
+        assert_eq!(
+            fanned_out(&partial, &updates[0]),
+            ["pay-floor", "pay-ceiling"]
+        );
+        for u in &updates[1..] {
+            assert!(fanned_out(&partial, u).is_empty(), "{u:?} fans out");
+        }
+    }
+
+    #[test]
+    fn fanned_out_checks_match_inline_reports_exactly() {
         let updates = [
             Update::insert("emp", tuple!["carol", "sales", 50]), // holds
             Update::insert("emp", tuple!["dave", "ghost", 50]),  // referential violation
@@ -2210,28 +2048,33 @@ mod tests {
             Update::insert("dept", tuple!["garden"]),            // independent
             Update::delete("emp", tuple!["ann", "sales", 80]),   // deletion
         ];
-        let mut seq = emp_mgr();
-        seq.set_parallel_checking(Some(false));
-        let mut par = emp_mgr();
-        par.set_parallel_checking(Some(true));
+        let mut inline = emp_mgr();
+        let mut fanned = emp_mgr();
         for u in &updates {
-            let a = seq.check_update(u).unwrap();
-            let b = par.check_update(u).unwrap();
+            let a = inline
+                .check_loop(std::slice::from_ref(u), None, || 1)
+                .unwrap();
+            let b = fanned
+                .check_loop(std::slice::from_ref(u), None, || 2)
+                .unwrap();
             assert_eq!(a, b, "reports diverge on {u:?}");
         }
+        // And as one batch, where every emp insert shares the threads.
+        let a = inline.check_loop(&updates, None, || 1).unwrap();
+        let b = fanned.check_loop(&updates, None, || 2).unwrap();
+        assert_eq!(a, b);
     }
 
     #[test]
-    fn parallel_checking_leaves_the_database_untouched() {
+    fn fanned_out_check_leaves_the_database_untouched() {
         let mut mgr = emp_mgr();
-        mgr.set_parallel_checking(Some(true));
         // Force the escalations this test is about: with pre-tests on,
         // every emp insert settles before stage 4.
         mgr.set_pretest_checking(Some(false));
         let before = mgr.database().total_tuples();
-        let report = mgr
-            .check_update(&Update::insert("emp", tuple!["dave", "ghost", 50]))
-            .unwrap();
+        let u = Update::insert("emp", tuple!["dave", "ghost", 50]);
+        assert_eq!(fanned_out(&mgr, &u), ["pay-floor", "pay-ceiling"]);
+        let report = mgr.check_loop(&[u], None, || 2).unwrap().remove(0);
         assert_eq!(report.violations(), vec!["referential"]);
         assert_eq!(report.full_checks, 3);
         assert!(report.remote_tuples_read > 0);
@@ -2268,7 +2111,6 @@ mod tests {
     #[test]
     fn delta_path_decides_monotone_escalations_without_a_snapshot() {
         let mut mgr = emp_mgr();
-        mgr.set_parallel_checking(Some(false));
         // This test exercises the stage-4 delta path; the compiled
         // pre-tests would settle these updates before it.
         mgr.set_pretest_checking(Some(false));
@@ -2311,7 +2153,6 @@ mod tests {
     #[test]
     fn post_update_snapshot_is_memoized_on_update_identity() {
         let mut mgr = emp_mgr();
-        mgr.set_parallel_checking(Some(false));
         // Deleting a department settles via the exact pre-test (a local
         // emp scan) when the pipeline is on; this test is about the
         // snapshot fallback, so keep the legacy ladder.
@@ -2372,7 +2213,6 @@ mod tests {
             Update::insert("emp", tuple!["dave", "ghost", 50]),  // duplicate → cache
         ];
         let mut seq = emp_mgr();
-        seq.set_parallel_checking(Some(false));
         let want: Vec<CheckReport> = updates
             .iter()
             .map(|u| seq.check_update(u).unwrap())
@@ -2392,49 +2232,92 @@ mod tests {
         );
     }
 
-    #[test]
-    fn batch_hydrates_each_remote_relation_once() {
+    /// A remote source over an in-memory remote site that counts its
+    /// fetches and fails every one while `down`.
+    struct CountingSource {
+        remote: Database,
+        fetches: u64,
+        down: bool,
+    }
+
+    impl crate::remote::RemoteSource for CountingSource {
+        fn fetch_relation(
+            &mut self,
+            pred: &str,
+        ) -> Result<Vec<ccpi_storage::Tuple>, crate::remote::RemoteError> {
+            use crate::remote::RemoteError;
+            self.fetches += 1;
+            if self.down {
+                return Err(RemoteError::Protocol("site down".into()));
+            }
+            self.remote
+                .relation(pred)
+                .map(|r| r.iter().cloned().collect())
+                .ok_or_else(|| RemoteError::Protocol(format!("unknown relation {pred}")))
+        }
+        fn wire_stats(&self) -> WireStats {
+            WireStats {
+                requests: self.fetches,
+                round_trips: self.fetches,
+                ..WireStats::default()
+            }
+        }
+    }
+
+    /// `intervals_mgr`'s constraint over a local view, with `r = {20}`
+    /// behind a [`CountingSource`].
+    fn intervals_split() -> (ConstraintManager, CountingSource) {
         use crate::distributed::SiteSplit;
-        use crate::remote::{RemoteError, RemoteSource};
-        use crate::report::WireStats;
-
-        struct CountingSource {
-            remote: Database,
-            fetches: u64,
-        }
-        impl RemoteSource for CountingSource {
-            fn fetch_relation(
-                &mut self,
-                pred: &str,
-            ) -> Result<Vec<ccpi_storage::Tuple>, RemoteError> {
-                self.fetches += 1;
-                self.remote
-                    .relation(pred)
-                    .map(|r| r.iter().cloned().collect())
-                    .ok_or_else(|| RemoteError::Protocol(format!("unknown relation {pred}")))
-            }
-            fn wire_stats(&self) -> WireStats {
-                WireStats {
-                    requests: self.fetches,
-                    round_trips: self.fetches,
-                    ..WireStats::default()
-                }
-            }
-        }
-
         let mut db = Database::new();
         db.declare("l", 2, Locality::Local).unwrap();
         db.declare("r", 1, Locality::Remote).unwrap();
         db.insert("l", tuple![3, 6]).unwrap();
         db.insert("r", tuple![20]).unwrap();
-        let split = SiteSplit::of(&db);
-        let mut src = CountingSource {
-            remote: split.remote,
+        let src = CountingSource {
+            remote: SiteSplit::of(&db).remote,
             fetches: 0,
+            down: false,
         };
         let mut mgr = ConstraintManager::new(SiteSplit::local_view(&db));
         mgr.add_constraint("intervals", "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y.")
             .unwrap();
+        (mgr, src)
+    }
+
+    #[test]
+    fn single_remote_check_is_a_batch_of_one() {
+        let updates = [
+            Update::insert("l", tuple![4, 5]),   // local test settles
+            Update::insert("l", tuple![15, 25]), // escalates: violated
+            Update::insert("l", tuple![21, 30]), // escalates: holds
+        ];
+        for down in [false, true] {
+            let (mut one, mut one_src) = intervals_split();
+            let (mut batch, mut batch_src) = intervals_split();
+            one_src.down = down;
+            batch_src.down = down;
+            for u in &updates {
+                let a = one.check_update_with_remote(u, &mut one_src).unwrap();
+                let b = batch
+                    .check_updates_with_remote(std::slice::from_ref(u), &mut batch_src)
+                    .unwrap()
+                    .remove(0);
+                assert_eq!(a, b, "{u:?} with the site down={down}");
+                assert_eq!(a.stage4_kinds, b.stage4_kinds);
+            }
+            assert_eq!(one_src.fetches, batch_src.fetches);
+        }
+        // The failed fetch is an answer, not an error.
+        let (mut mgr, mut src) = intervals_split();
+        src.down = true;
+        let report = mgr.check_update_with_remote(&updates[1], &mut src).unwrap();
+        assert_eq!(report.unknowns(), vec!["intervals"]);
+        assert_eq!(report.wire.requests, 1);
+    }
+
+    #[test]
+    fn batch_hydrates_each_remote_relation_once() {
+        let (mut mgr, mut src) = intervals_split();
 
         // Two escalating updates, one batch: the remote relation is
         // fetched once, attributed to the first update that needed it.
@@ -2691,24 +2574,31 @@ mod proptests {
         }
 
         /// `check_updates` of N updates ≡ N `check_update` calls, on the
-        /// employee constraint set (the E6 workload's), across every
-        /// stage-4 path a batch can mix.
+        /// employee constraint set (the E6 workload's) and on random
+        /// subsets of the pool on both ladders, across every stage-4 path
+        /// a batch can mix.
         #[test]
         fn batch_equals_sequential_on_the_employee_constraints(
+            mask in 1u8..128,
             updates in prop::collection::vec(update_strategy(), 1..8),
         ) {
-            let mut seq = super::tests::emp_mgr();
-            seq.set_parallel_checking(Some(false));
-            let want: Vec<CheckReport> = updates
-                .iter()
-                .map(|u| seq.check_update(u).unwrap())
-                .collect();
-
-            let mut batch = super::tests::emp_mgr();
-            let got = batch.check_updates(&updates).unwrap();
-            prop_assert_eq!(got.len(), want.len());
-            for ((g, w), u) in got.iter().zip(&want).zip(&updates) {
-                prop_assert_eq!(g, w, "batch diverged from sequential on {:?}", u);
+            let (fast_seq, legacy_seq) = pool_managers(mask);
+            let (fast_batch, legacy_batch) = pool_managers(mask);
+            let pairs = [
+                (super::tests::emp_mgr(), super::tests::emp_mgr()),
+                (fast_seq, fast_batch),
+                (legacy_seq, legacy_batch),
+            ];
+            for (mut seq, mut batch) in pairs {
+                let want: Vec<CheckReport> = updates
+                    .iter()
+                    .map(|u| seq.check_update(u).unwrap())
+                    .collect();
+                let got = batch.check_updates(&updates).unwrap();
+                prop_assert_eq!(got.len(), want.len());
+                for ((g, w), u) in got.iter().zip(&want).zip(&updates) {
+                    prop_assert_eq!(g, w, "batch diverged from sequential on {:?}", u);
+                }
             }
         }
     }

@@ -132,11 +132,8 @@ impl Outcome {
     }
 }
 
-/// Transport-level counters measured by a remote source during a check.
-///
-/// These replace the synthetic [`CostModel`](crate::distributed::CostModel)
-/// arithmetic with observed numbers when a real transport is in play; all
-/// zeros in the single-site setting.
+/// Transport-level counters measured by a remote source during a check;
+/// all zeros in the single-site setting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct WireStats {
@@ -248,8 +245,9 @@ impl fmt::Display for WireStats {
 }
 
 /// Wall-clock microseconds spent in each pipeline stage during one
-/// check, summed across constraints (and across worker threads on the
-/// parallel path). Attribution only: timings vary run to run, so — like
+/// check, summed across constraints — including the local tests the
+/// check loop fans out to scoped threads, so the sum can exceed the
+/// check's wall clock. Attribution only: timings vary run to run, so — like
 /// the stage-4 kinds — they are excluded from [`CheckReport`] equality.
 /// E14 uses these to say *where* a check's time went.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]

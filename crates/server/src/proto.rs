@@ -13,7 +13,7 @@
 //! the client treats that as a transport-integrity failure, distinct
 //! from an application-level [`ServerResponse::Error`].
 
-use ccpi_storage::wirefmt::{self, WireError};
+use ccpi_storage::wirefmt::{self, seal, unseal, WireError};
 use ccpi_storage::{Tuple, Update};
 
 /// One admission-service request.
@@ -318,32 +318,6 @@ impl ServerResponse {
     }
 }
 
-/// Seals a frame body: `u64 nonce ++ body ++ u64 fnv1a64(nonce ++ body)`.
-fn seal(nonce: u64, body: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(body.len() + 16);
-    wirefmt::encode_u64(nonce, &mut out);
-    out.extend_from_slice(&body);
-    let sum = wirefmt::fnv1a64(&out);
-    wirefmt::encode_u64(sum, &mut out);
-    out
-}
-
-/// Splits a sealed frame back into `(nonce, body)`, verifying the
-/// checksum.
-fn unseal(buf: &[u8]) -> Result<(u64, &[u8]), WireError> {
-    if buf.len() < 16 {
-        return Err(WireError::Truncated);
-    }
-    let (payload, trailer) = buf.split_at(buf.len() - 8);
-    let expected = wirefmt::decode_u64(trailer, &mut 0)?;
-    let actual = wirefmt::fnv1a64(payload);
-    if expected != actual {
-        return Err(WireError::Checksum { expected, actual });
-    }
-    let nonce = wirefmt::decode_u64(payload, &mut 0)?;
-    Ok((nonce, &payload[8..]))
-}
-
 fn expect_end(buf: &[u8], pos: usize) -> Result<(), WireError> {
     if pos != buf.len() {
         return Err(WireError::Truncated);
@@ -358,7 +332,7 @@ pub fn encode_requests(nonce: u64, reqs: &[ServerRequest]) -> Vec<u8> {
     for r in reqs {
         r.encode(&mut body);
     }
-    seal(nonce, body)
+    seal(nonce, &body)
 }
 
 /// Decodes and verifies a request batch, returning the nonce.
@@ -381,7 +355,7 @@ pub fn encode_responses(nonce: u64, resps: &[ServerResponse]) -> Vec<u8> {
     for r in resps {
         r.encode(&mut body);
     }
-    seal(nonce, body)
+    seal(nonce, &body)
 }
 
 /// Decodes and verifies a response batch, returning the echoed nonce.
@@ -491,7 +465,7 @@ mod tests {
         wirefmt::encode_u32(1, &mut body);
         ServerRequest::Ping.encode(&mut body);
         body.push(0xaa);
-        let frame = seal(5, body);
+        let frame = seal(5, &body);
         assert!(matches!(decode_requests(&frame), Err(WireError::Truncated)));
     }
 

@@ -437,8 +437,13 @@ fn commit_group(
     );
 
     // Publish the post-group state before acking: a client that sees its
-    // ack and immediately queries must find its own write.
-    *snapshot.write().expect("snapshot lock") = mgr.database().snapshot();
+    // ack and immediately queries must find its own write. The previous
+    // snapshot is dropped after the lock is released: it is often the
+    // last owner of a relation version the group's apply copied, and
+    // freeing that takes milliseconds every reader would wait out.
+    let fresh = mgr.database().snapshot();
+    let stale = std::mem::replace(&mut *snapshot.write().expect("snapshot lock"), fresh);
+    drop(stale);
 
     let mut iter = verdicts.into_iter();
     for job in window {

@@ -5,8 +5,7 @@
 //! constraint manager asks it for remote relations only when the
 //! escalation ladder reaches stage 4, and every wire interaction is
 //! counted so [`CheckReport::wire`](ccpi::report::CheckReport) carries
-//! *measured* numbers, not the synthetic
-//! [`CostModel`](ccpi::distributed::CostModel) arithmetic.
+//! *measured* numbers.
 //!
 //! Failure taxonomy the retry loop enforces:
 //!

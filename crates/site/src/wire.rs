@@ -35,8 +35,8 @@
 
 use ccpi_ir::Value;
 use ccpi_storage::wirefmt::{
-    decode_rows, decode_str, decode_u32, decode_u64, decode_value, encode_rows, encode_str,
-    encode_u32, encode_u64, encode_value, fnv1a64, WireError,
+    decode_rows, decode_str, decode_u32, decode_value, encode_rows, encode_str, encode_u32,
+    encode_value, seal, unseal, WireError,
 };
 use ccpi_storage::Tuple;
 
@@ -108,33 +108,6 @@ pub enum Response {
     },
 }
 
-/// Wraps a body in the sealed envelope: nonce prefix, checksum trailer.
-fn seal(nonce: u64, body: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(body.len() + 16);
-    encode_u64(nonce, &mut out);
-    out.extend_from_slice(&body);
-    let sum = fnv1a64(&out);
-    encode_u64(sum, &mut out);
-    out
-}
-
-/// Verifies the checksum trailer and strips the envelope; returns the
-/// nonce and the body slice.
-fn unseal(buf: &[u8]) -> Result<(u64, &[u8]), WireError> {
-    if buf.len() < 16 {
-        return Err(WireError::Truncated);
-    }
-    let (covered, trailer) = buf.split_at(buf.len() - 8);
-    let expected = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-    let actual = fnv1a64(covered);
-    if expected != actual {
-        return Err(WireError::Checksum { expected, actual });
-    }
-    let mut pos = 0;
-    let nonce = decode_u64(covered, &mut pos)?;
-    Ok((nonce, &covered[pos..]))
-}
-
 /// Encodes a request batch into a sealed frame payload.
 pub fn encode_requests(nonce: u64, reqs: &[Request]) -> Vec<u8> {
     let mut body = Vec::new();
@@ -159,7 +132,7 @@ pub fn encode_requests(nonce: u64, reqs: &[Request]) -> Vec<u8> {
             }
         }
     }
-    seal(nonce, body)
+    seal(nonce, &body)
 }
 
 /// Decodes a sealed request batch; returns the client's nonce (to echo)
@@ -220,7 +193,7 @@ pub fn encode_responses(nonce: u64, resps: &[Response]) -> Vec<u8> {
             }
         }
     }
-    seal(nonce, body)
+    seal(nonce, &body)
 }
 
 /// Decodes a sealed response batch; returns the echoed nonce and the

@@ -44,7 +44,7 @@
 
 use crate::database::{Database, Locality};
 use crate::update::Update;
-use crate::wirefmt::{self, WireError};
+use crate::wirefmt::{self, seal, unseal, WireError};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -409,33 +409,6 @@ fn take_u8(buf: &[u8], pos: &mut usize) -> Result<u8, WireError> {
     let b = buf[*pos];
     *pos += 1;
     Ok(b)
-}
-
-/// Seals a frame body: `u64 nonce ++ body ++ u64 fnv1a64(nonce ++ body)`
-/// — the `ccpi-site` wire-v2 idiom.
-fn seal(nonce: u64, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(body.len() + 16);
-    wirefmt::encode_u64(nonce, &mut out);
-    out.extend_from_slice(body);
-    let sum = wirefmt::fnv1a64(&out);
-    wirefmt::encode_u64(sum, &mut out);
-    out
-}
-
-/// Splits a sealed frame back into `(nonce, body)`, verifying the
-/// checksum.
-fn unseal(buf: &[u8]) -> Result<(u64, &[u8]), WireError> {
-    if buf.len() < 16 {
-        return Err(WireError::Truncated);
-    }
-    let (payload, trailer) = buf.split_at(buf.len() - 8);
-    let expected = wirefmt::decode_u64(trailer, &mut 0)?;
-    let actual = wirefmt::fnv1a64(payload);
-    if expected != actual {
-        return Err(WireError::Checksum { expected, actual });
-    }
-    let nonce = wirefmt::decode_u64(payload, &mut 0)?;
-    Ok((nonce, &payload[8..]))
 }
 
 /// How replay reached the end of the log.

@@ -103,6 +103,34 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// Seals a frame body: `u64 nonce ++ body ++ u64 fnv1a64(nonce ++ body)`
+/// — the one envelope of site wire messages, server protocol frames,
+/// WAL records and checkpoints.
+pub fn seal(nonce: u64, body: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(body.len() + 16);
+    encode_u64(nonce, &mut out);
+    out.extend_from_slice(body);
+    let sum = fnv1a64(&out);
+    encode_u64(sum, &mut out);
+    out
+}
+
+/// Splits a sealed frame back into `(nonce, body)`, verifying the
+/// checksum.
+pub fn unseal(buf: &[u8]) -> Result<(u64, &[u8]), WireError> {
+    if buf.len() < 16 {
+        return Err(WireError::Truncated);
+    }
+    let (payload, trailer) = buf.split_at(buf.len() - 8);
+    let expected = decode_u64(trailer, &mut 0)?;
+    let actual = fnv1a64(payload);
+    if expected != actual {
+        return Err(WireError::Checksum { expected, actual });
+    }
+    let nonce = decode_u64(payload, &mut 0)?;
+    Ok((nonce, &payload[8..]))
+}
+
 /// Appends a length-prefixed UTF-8 string.
 pub fn encode_str(s: &str, out: &mut Vec<u8>) {
     encode_u32(s.len() as u32, out);
@@ -268,6 +296,20 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn sealed_frames_keep_their_layout() {
+        let frame = seal(7, b"ab");
+        let mut want = vec![7, 0, 0, 0, 0, 0, 0, 0, b'a', b'b'];
+        let sum = fnv1a64(&want);
+        want.extend_from_slice(&sum.to_le_bytes());
+        assert_eq!(frame, want);
+        assert_eq!(unseal(&frame).unwrap(), (7, &b"ab"[..]));
+        let mut flipped = frame.clone();
+        flipped[8] ^= 1;
+        assert!(matches!(unseal(&flipped), Err(WireError::Checksum { .. })));
+        assert_eq!(unseal(&frame[..15]), Err(WireError::Truncated));
     }
 
     #[test]
