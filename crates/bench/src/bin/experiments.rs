@@ -32,7 +32,7 @@
 //!                               # custom crash soak; any failure prints the
 //!                               # reproducing seed
 //! experiments --server          # E13 closed-loop admission service over TCP:
-//!                               # group-commit vs per-update fsync at 1/8/64
+//!                               # group commit at 1/8/64
 //!                               # clients, concurrent snapshot reads, twin
 //!                               # cross-check; writes BENCH_server.json
 //! experiments --server --smoke  # CI variant: 4 clients, tiny run, no
@@ -1304,8 +1304,8 @@ fn write_chaos_log(path: &str, lines: &[String]) {
 }
 
 /// `--server`: the E13 closed-loop admission-service benchmark. A fleet
-/// of TCP clients submits back-to-back against a live `ccpi-server` in
-/// both commit modes while a reader sustains MVCC snapshot queries; every
+/// of TCP clients submits back-to-back against a live `ccpi-server`
+/// (group commit) while a reader sustains MVCC snapshot queries; every
 /// cell replays its decision log through a single-threaded twin and must
 /// show zero verdict divergences. The full run rewrites
 /// `BENCH_server.json`; any divergence exits nonzero.
@@ -1313,7 +1313,7 @@ fn run_server(args: &[String]) -> i32 {
     use ccpi_bench::server_bench::{measure, ServerRow};
     let smoke = args.iter().any(|a| a == "--smoke");
 
-    heading("E13  Concurrent admission: group-commit vs per-update fsync over TCP");
+    heading("E13  Concurrent admission: group commit over TCP");
     // The full client-count matrix, and the explicit smoke cap: smoke
     // must never inherit the full matrix (64 closed-loop TCP clients and
     // 12.8k fsync'd updates per cell are a CI-killer), so it runs a
@@ -1331,9 +1331,8 @@ fn run_server(args: &[String]) -> i32 {
         "--smoke must cap the client fleet"
     );
     println!(
-        "{:<8} {:<18} {:>6} {:>8} {:>10} {:>8} {:>8} {:>7} {:>7} {:>11} {:>7}",
+        "{:<8} {:>6} {:>8} {:>10} {:>8} {:>8} {:>7} {:>7} {:>11} {:>7}",
         "clients",
-        "mode",
         "batch",
         "updates",
         "admits/s",
@@ -1348,9 +1347,8 @@ fn run_server(args: &[String]) -> i32 {
     let mut divergences = 0usize;
     for row in &rows {
         println!(
-            "{:<8} {:<18} {:>6} {:>8} {:>10.0} {:>8.2} {:>8.2} {:>7} {:>7.1} {:>11} {:>7}",
+            "{:<8} {:>6} {:>8} {:>10.0} {:>8.2} {:>8.2} {:>7} {:>7.1} {:>11} {:>7}",
             row.clients,
-            row.mode,
             row.batch,
             row.updates,
             row.admissions_per_sec,
@@ -1364,19 +1362,6 @@ fn run_server(args: &[String]) -> i32 {
         divergences += row.twin_divergences;
     }
 
-    // The headline claim: group-commit amortization at the largest fleet.
-    let largest = counts.last().copied().unwrap_or(0);
-    let rate = |mode: &str| {
-        rows.iter()
-            .find(|r| r.clients == largest && r.mode == mode)
-            .map(|r| r.admissions_per_sec)
-    };
-    if let (Some(gc), Some(per)) = (rate("group-commit"), rate("per-update-fsync")) {
-        println!(
-            "\ngroup-commit at {largest} clients: {:.1}x the per-update-fsync admission rate",
-            gc / per
-        );
-    }
     if divergences > 0 {
         println!(
             "\nE13 FAILED: {divergences} verdict divergence(s) between the concurrent \
@@ -1896,8 +1881,8 @@ fn run_guard() -> i32 {
     };
     // Best of two, and admissions/sec is a rate — higher is better, so
     // the floor is 70% of the committed throughput (a >30% drop fails).
-    let a = ccpi_bench::server_bench::measure_cell(64, 3, 32, true);
-    let b = ccpi_bench::server_bench::measure_cell(64, 3, 32, true);
+    let a = ccpi_bench::server_bench::measure_cell(64, 3, 32);
+    let b = ccpi_bench::server_bench::measure_cell(64, 3, 32);
     if a.twin_divergences + b.twin_divergences > 0 {
         println!(
             "{:<14} twin divergences during the guard run: {} — admission soundness broken",

@@ -173,7 +173,7 @@ pub fn measure(sizes: &[usize]) -> PretestReport {
             measure_size(n, stream, probes)
         })
         .collect();
-    let admission = server_bench::measure_cell(8, 8, 8, true);
+    let admission = server_bench::measure_cell(8, 8, 8);
     PretestReport { rows, admission }
 }
 

@@ -3,13 +3,9 @@
 //!
 //! N clients connect to a live [`ccpi_server`] instance over real TCP and
 //! submit updates back-to-back (closed loop: each client keeps exactly
-//! one submission in flight). Two commit modes are measured on identical
-//! workloads:
-//!
-//! * **group-commit** — the admit thread drains whatever queued while the
-//!   previous group was committing and the whole window shares one fsync;
-//! * **per-update-fsync** — the same serialized admit stage, but every
-//!   admitted update pays its own fsync (the E12-era durability cost).
+//! one submission in flight). The admit thread drains whatever queued
+//! while the previous group was committing, and the whole window shares
+//! one fsync (group commit, the server's only commit mode).
 //!
 //! While the submitters run, a dedicated reader thread issues
 //! `Query`/`Version` requests continuously — sustained MVCC snapshot
@@ -32,17 +28,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-/// One measured (clients, mode) cell.
+/// One measured cell.
 #[derive(Clone, Debug, serde::Serialize)]
 pub struct ServerRow {
     /// Concurrent closed-loop submitters.
     pub clients: usize,
-    /// `"group-commit"` or `"per-update-fsync"`.
+    /// Always `"group-commit"`: the perf guard finds its row in the
+    /// committed `BENCH_server.json` by this key.
     pub mode: &'static str,
     /// Updates per submit request. Small batches keep the wire/dispatch
-    /// cost per update honest on a small host without changing what is
-    /// measured: per-update-fsync still pays one fsync per *update*,
-    /// group commit one per window.
+    /// cost per update honest on a small host; every window still pays
+    /// one fsync.
     pub batch: usize,
     /// Updates submitted (and acknowledged) across all clients.
     pub updates: usize,
@@ -87,15 +83,9 @@ fn build_store(dir: &std::path::Path) -> DurableManager {
 /// Runs one closed-loop cell: `clients` submitters × `batches` requests
 /// of `batch` updates each, one sustained snapshot reader, then the
 /// soundness twin.
-pub fn measure_cell(clients: usize, batches: usize, batch: usize, group_commit: bool) -> ServerRow {
-    let mode = if group_commit {
-        "group-commit"
-    } else {
-        "per-update-fsync"
-    };
-    let dir = scratch_dir(&format!("e13-{mode}-{clients}"));
+pub fn measure_cell(clients: usize, batches: usize, batch: usize) -> ServerRow {
+    let dir = scratch_dir(&format!("e13-{clients}"));
     let config = ServerConfig {
-        group_commit,
         record_decisions: true,
         ..ServerConfig::default()
     };
@@ -200,7 +190,7 @@ pub fn measure_cell(clients: usize, batches: usize, batch: usize, group_commit: 
 
     // Soundness twin: a fresh single-threaded manager replays the exact
     // admission order and must reach the exact verdicts.
-    let twin_dir = scratch_dir(&format!("e13-twin-{mode}-{clients}"));
+    let twin_dir = scratch_dir(&format!("e13-twin-{clients}"));
     let mut twin = build_store(&twin_dir);
     let mut twin_divergences = 0usize;
     for (update, admitted) in &decisions {
@@ -223,7 +213,7 @@ pub fn measure_cell(clients: usize, batches: usize, batch: usize, group_commit: 
     let groups = stats.groups();
     ServerRow {
         clients,
-        mode,
+        mode: "group-commit",
         batch,
         updates,
         admissions_per_sec: updates as f64 / elapsed,
@@ -236,18 +226,14 @@ pub fn measure_cell(clients: usize, batches: usize, batch: usize, group_commit: 
     }
 }
 
-/// The full E13 grid: both modes at each client count. `per_total` is the
+/// The full E13 grid: one cell per client count. `per_total` is the
 /// approximate total updates per cell (split across the clients in
 /// requests of `batch`), so every cell commits comparable work.
 pub fn measure(client_counts: &[usize], per_total: usize, batch: usize) -> Vec<ServerRow> {
-    let mut rows = Vec::new();
-    for &clients in client_counts {
-        let batches = (per_total / (clients * batch)).max(1);
-        for group_commit in [false, true] {
-            rows.push(measure_cell(clients, batches, batch, group_commit));
-        }
-    }
-    rows
+    client_counts
+        .iter()
+        .map(|&clients| measure_cell(clients, (per_total / (clients * batch)).max(1), batch))
+        .collect()
 }
 
 #[cfg(test)]
@@ -255,15 +241,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn smoke_cell_is_sound_in_both_modes() {
-        for group_commit in [false, true] {
-            let row = measure_cell(4, 2, 4, group_commit);
-            assert_eq!(row.updates, 32);
-            assert_eq!(row.twin_divergences, 0, "mode {}", row.mode);
-            assert!(row.admissions_per_sec > 0.0);
-            assert!(row.p99_ack_ms >= row.p50_ack_ms);
-            assert!(row.groups >= 1);
-            assert!(row.snapshot_reads > 0, "reader made no progress");
-        }
+    fn smoke_cell_is_sound() {
+        let row = measure_cell(4, 2, 4);
+        assert_eq!(row.updates, 32);
+        assert_eq!(row.twin_divergences, 0);
+        assert!(row.admissions_per_sec > 0.0);
+        assert!(row.p99_ack_ms >= row.p50_ack_ms);
+        assert!(row.groups >= 1);
+        assert!(row.snapshot_reads > 0, "reader made no progress");
     }
 }

@@ -45,35 +45,33 @@
 //! whose every future recovery fails its audit. Remote-reading
 //! constraints are exempt here exactly as the audit exempts them.
 //!
-//! Batch admission ([`DurableManager::process_updates`] and the remote
-//! variant) *checks* the whole batch against the pre-batch state — the
-//! reports keep [`ConstraintManager::check_updates`] semantics, and the
-//! remote variant keeps its one-hydration-per-batch transport saving —
-//! but *admits* against the evolving state: once an earlier update of
-//! the batch has been applied, each later clean-looking update is
-//! re-judged against the current database before its WAL record is
-//! written, so two individually-clean but jointly-violating updates can
-//! never both persist. A rejected update whose (pre-batch) report shows
-//! no violation was rejected by this evolving-state re-check. For a
-//! remote batch the re-check judges only constraints with no remote
-//! atoms; remote-reading constraints keep their hydrated pre-batch
-//! verdicts. Durability remains strictly per update: each admitted
-//! update's WAL record is fsync'd *before* it is applied, so a crash
-//! mid-batch never acknowledges an unlogged update.
+//! Every admission goes through one loop, and every batch is one
+//! *commit group*. The batch is checked once against the pre-batch state
+//! (the reports keep [`ConstraintManager::check_updates`] semantics; the
+//! remote variant keeps its one-hydration-per-batch transport saving),
+//! but admitted against the evolving state: once an earlier update of the
+//! batch has been applied, each later clean-looking update is re-judged
+//! against the current database before its WAL record is written, so two
+//! individually-clean but jointly-violating updates can never both
+//! persist. The re-judgment's report decides, so a rejection it finds
+//! names its constraint. For a remote batch the re-judgment judges only
+//! constraints with no remote atoms; remote-reading constraints keep
+//! their hydrated pre-batch outcomes, and a re-judged update logs no
+//! certificate for them (see [`AuditMode::CertificateReplay`]'s fallback).
 //!
-//! [`DurableManager::process_updates_grouped`] trades that per-update
-//! durability boundary for throughput: the whole batch is one *commit
-//! group* — every admitted record is appended (and applied in memory, so
-//! the evolving-state re-judgment above is unchanged) and a **single
-//! fsync** at the end covers the group. Acknowledgement moves to the
-//! group boundary: nothing in the batch is acknowledged until that
-//! shared fsync returns, and on any failure the caller must treat the
-//! *entire* group as unacknowledged ([`BatchResult::completed`] comes
-//! back empty). The admission service (`ccpi-server`) drives this path,
-//! merging the in-flight requests of concurrent clients into one group
-//! so N clients share one fsync; the group-commit invariant there —
-//! ack ⇒ fsync'd ⇒ admitted under the serialized re-judgment — is
-//! exactly this method's contract.
+//! Each admitted record is appended and applied in memory as the batch
+//! progresses, and a **single fsync** at the end covers the group.
+//! Acknowledgement is at the group boundary: nothing in the batch is
+//! acknowledged until that shared fsync returns, and on any failure the
+//! caller must treat the *entire* group as unacknowledged
+//! ([`BatchResult::completed`] comes back empty); recovery then holds at
+//! most a prefix of the group's admitted updates. A checkpoint that fails
+//! after the shared fsync does not retract the acks.
+//! [`DurableManager::process`] is a batch of one. The admission service
+//! (`ccpi-server`) merges the in-flight requests of concurrent clients
+//! into one [`DurableManager::process_updates_grouped`] call so N clients
+//! share one fsync; its invariant — ack ⇒ fsync'd ⇒ admitted under the
+//! serialized re-judgment — is exactly this contract.
 //!
 //! ## Verdict-cache persistence
 //!
@@ -267,15 +265,17 @@ pub enum AuditMode {
     CertificateReplay,
 }
 
-/// Result of a durable batch: the acknowledged prefix, plus the error
-/// that stopped the batch early (if any). Updates past `completed` were
-/// never acknowledged — their WAL records never fsync'd.
+/// Result of a durable batch (one commit group): every verdict once the
+/// group's shared fsync returned, plus the error that stopped the batch
+/// (if any). A group is acknowledged whole or not at all: when the
+/// pipeline fails before the fsync returns, `completed` is empty.
 #[derive(Debug)]
 pub struct BatchResult {
-    /// Per-update `(report, applied)` for the acknowledged prefix, in
-    /// batch order.
+    /// Per-update `(report, applied)`, in batch order.
     pub completed: Vec<(CheckReport, bool)>,
-    /// `Some` when the pipeline died mid-batch (e.g. an injected crash).
+    /// `Some` when the pipeline failed (e.g. an injected crash). With
+    /// `completed` non-empty, only the checkpoint after the group's fsync
+    /// failed, and the group stands.
     pub error: Option<DurableError>,
 }
 
@@ -729,107 +729,83 @@ impl DurableManager {
         Ok(self.inner.check_update(update)?)
     }
 
-    /// Checks, then — when the check reports no violation — logs,
-    /// fsyncs, and applies the update, in that order. Returns the report
-    /// and whether the update was applied. When this returns `Ok`, an
-    /// applied update is durable; when it returns `Err`, the update may
-    /// or may not have reached the log (a crash-consistent recovery
-    /// resolves it either way, but it was never *acknowledged*).
+    /// Admits one update: a batch of one. Returns the report and whether
+    /// the update was applied. When this returns `Ok`, an applied update
+    /// is durable; when it returns `Err`, the update may or may not have
+    /// reached the log (a crash-consistent recovery resolves it either
+    /// way), but it was never *acknowledged*.
     pub fn process(&mut self, update: &Update) -> Result<(CheckReport, bool), DurableError> {
-        let report = self.inner.check_update(update)?;
-        if !report.violations().is_empty() || !report.unknowns().is_empty() {
-            return Ok((report, false));
+        let mut result = self.admit(std::slice::from_ref(update), None);
+        match result.error {
+            Some(e) => Err(e),
+            None => Ok(result.completed.pop().expect("a batch of one")),
         }
-        let certs = encode_certs(&report);
-        self.log_and_apply(update, certs)?;
-        self.maybe_checkpoint()?;
-        Ok((report, true))
     }
 
-    /// Batch admission: checks the whole batch with
-    /// [`ConstraintManager::check_updates`] semantics, then admits the
-    /// clean updates in order — re-judged against the evolving state once
-    /// earlier admissions have moved it, each one logged and fsync'd
-    /// before it is applied. See the module docs for the semantics and
-    /// [`BatchResult`] for mid-batch crash behavior.
-    pub fn process_updates(&mut self, updates: &[Update]) -> BatchResult {
-        let reports = match self.inner.check_updates(updates) {
-            Ok(r) => r,
-            Err(e) => {
-                return BatchResult {
-                    completed: Vec::new(),
-                    error: Some(e.into()),
-                }
-            }
-        };
-        self.admit_batch(updates, reports, false)
-    }
-
-    /// Group-commit batch admission: same checking and evolving-state
-    /// re-judgment as [`DurableManager::process_updates`], but the whole
-    /// batch shares **one fsync**. Each admitted update's record is
-    /// appended and applied in memory as the batch progresses (so later
-    /// updates are re-judged against the evolving state exactly as in
-    /// the per-update path); the single sync at the end makes the group
-    /// durable, and only then is anything acknowledged.
-    ///
-    /// On any failure — append, re-judgment, apply, or the shared sync —
-    /// the **entire group is unacknowledged**: `completed` comes back
-    /// empty alongside the error, the writer is poisoned, and recovery
-    /// resolves what (if anything) reached the platter. A group that
-    /// returns `Ok` is durable as a unit; replay can never surface a
-    /// suffix of it without its prefix, because records were appended in
-    /// admission order.
+    /// Admits a batch as one commit group: see the module docs for the
+    /// semantics and [`BatchResult`] for what a failure acknowledges.
     pub fn process_updates_grouped(&mut self, updates: &[Update]) -> BatchResult {
-        let reports = match self.inner.check_updates(updates) {
+        self.admit(updates, None)
+    }
+
+    /// [`DurableManager::process_updates_grouped`] through a remote
+    /// source: one hydration pass per batch (the transport saving of
+    /// [`ConstraintManager::check_updates_with_remote`]), one fsync per
+    /// batch.
+    pub fn process_updates_with_remote(
+        &mut self,
+        updates: &[Update],
+        remote: &mut dyn RemoteSource,
+    ) -> BatchResult {
+        self.admit(updates, Some(remote))
+    }
+
+    /// The one admit loop: check the batch once, decide each update
+    /// against the evolving state, append and apply each admission, then
+    /// one fsync for the group. With a remote source, constraints that
+    /// read remote relations are not re-judged (the local view cannot
+    /// judge them) and keep their hydrated pre-batch verdicts.
+    fn admit(&mut self, updates: &[Update], remote: Option<&mut dyn RemoteSource>) -> BatchResult {
+        let failed = |e: DurableError| BatchResult {
+            completed: Vec::new(),
+            error: Some(e),
+        };
+        let remote_batch = remote.is_some();
+        let checked = match remote {
+            Some(src) => self.inner.check_updates_with_remote(updates, src),
+            None => self.inner.check_updates(updates),
+        };
+        let reports = match checked {
             Ok(r) => r,
-            Err(e) => {
-                return BatchResult {
-                    completed: Vec::new(),
-                    error: Some(e.into()),
-                }
-            }
+            Err(e) => return failed(e.into()),
         };
         let judged: Vec<String> = self
             .inner
             .constraints()
             .iter()
             .map(|(n, _)| n.to_string())
+            .filter(|n| !remote_batch || !self.inner.reads_remote(n))
             .collect();
         let mut completed = Vec::with_capacity(updates.len());
         let mut dirty = false;
-        let mut admitted_any = false;
         for (update, report) in updates.iter().zip(reports) {
             let (report, admit) = match self.decide(update, report, dirty, &judged) {
                 Ok(decided) => decided,
-                Err(e) => {
-                    return BatchResult {
-                        completed: Vec::new(),
-                        error: Some(e.into()),
-                    };
-                }
+                Err(e) => return failed(e.into()),
             };
             if admit {
-                let certs = encode_certs(&report);
-                if let Err(e) = self.log_deferred_and_apply(update, certs) {
-                    return BatchResult {
-                        completed: Vec::new(),
-                        error: Some(e),
-                    };
+                if let Err(e) = self.log_and_apply(update, encode_certs(&report)) {
+                    return failed(e);
                 }
                 dirty = true;
-                admitted_any = true;
             }
             completed.push((report, admit));
         }
-        if admitted_any {
+        if dirty {
             // The shared group sync: the whole batch becomes durable (and
             // acknowledgeable) here, or not at all.
             if let Err(e) = self.wal.sync(&mut self.guard) {
-                return BatchResult {
-                    completed: Vec::new(),
-                    error: Some(e.into()),
-                };
+                return failed(e.into());
             }
             // The group is durable once the sync returned: a checkpoint
             // failure past this point does not retract the acks.
@@ -846,39 +822,19 @@ impl DurableManager {
         }
     }
 
-    /// Batch admission through a remote source: one hydration pass per
-    /// batch (the transport saving of
-    /// [`ConstraintManager::check_updates_with_remote`]), durability per
-    /// update — every admitted update's WAL record is fsync'd before its
-    /// apply, so a crash mid-batch never acknowledges an unlogged
-    /// update.
-    pub fn process_updates_with_remote(
-        &mut self,
-        updates: &[Update],
-        remote: &mut dyn RemoteSource,
-    ) -> BatchResult {
-        let reports = match self.inner.check_updates_with_remote(updates, remote) {
-            Ok(r) => r,
-            Err(e) => {
-                return BatchResult {
-                    completed: Vec::new(),
-                    error: Some(e.into()),
-                }
-            }
-        };
-        self.admit_batch(updates, reports, true)
-    }
-
     /// The deciding report for one update of a checked batch, and whether
     /// it admits. Until an admission has moved the state (`dirty`), that
     /// is the batch's pre-state report. After, a clean-looking update is
     /// re-judged against the evolving database, and the re-judgment
-    /// decides: its outcomes for the `judged` constraints, its
+    /// decides for the `judged` constraints: its outcomes and its
     /// certificates (the proofs must bind the state the verdict was
     /// rendered on, and match the WAL), so a rejection names the
     /// constraint that caused it. Constraints outside `judged` keep the
-    /// pre-state outcome, and the report keeps the pre-state wire counters:
-    /// the re-judgment reads nothing remote.
+    /// pre-state outcomes but carry no certificate: the first pass's
+    /// proofs pin the pre-batch state and the re-judgment's read the
+    /// remote relations empty, so neither binds the state the update is
+    /// admitted on. The report keeps the pre-state wire counters: the
+    /// re-judgment reads nothing remote.
     fn decide(
         &mut self,
         update: &Update,
@@ -896,70 +852,10 @@ impl DurableManager {
                 *outcome = kept;
             }
         }
+        re.certificates.retain(|(name, _)| judged.contains(name));
         re.wire = first.wire;
         let admit = re.all_hold();
         Ok((re, admit))
-    }
-
-    /// Admits a checked batch in order. `reports` were computed against
-    /// the pre-batch state; once an admission has moved the state past
-    /// it, each later clean-looking update is re-judged against the
-    /// evolving database before its WAL record is written — two
-    /// individually-clean but jointly-violating updates must never both
-    /// persist, or the next recovery audit would brick the store. With
-    /// `remote_batch`, constraints that read remote relations keep their
-    /// hydrated pre-batch verdicts (the local view cannot re-judge them);
-    /// only locally judgeable constraints — the ones the audit covers —
-    /// are re-checked.
-    fn admit_batch(
-        &mut self,
-        updates: &[Update],
-        reports: Vec<CheckReport>,
-        remote_batch: bool,
-    ) -> BatchResult {
-        let judged: Vec<String> = self
-            .inner
-            .constraints()
-            .iter()
-            .map(|(n, _)| n.to_string())
-            .filter(|n| !remote_batch || !self.inner.reads_remote(n))
-            .collect();
-        let mut completed = Vec::with_capacity(updates.len());
-        let mut dirty = false;
-        for (update, report) in updates.iter().zip(reports) {
-            let (report, admit) = match self.decide(update, report, dirty, &judged) {
-                Ok(decided) => decided,
-                Err(e) => {
-                    return BatchResult {
-                        completed,
-                        error: Some(e.into()),
-                    };
-                }
-            };
-            if admit {
-                let certs = encode_certs(&report);
-                if let Err(e) = self.log_and_apply(update, certs) {
-                    return BatchResult {
-                        completed,
-                        error: Some(e),
-                    };
-                }
-                dirty = true;
-            }
-            completed.push((report, admit));
-            if admit {
-                if let Err(e) = self.maybe_checkpoint() {
-                    return BatchResult {
-                        completed,
-                        error: Some(e),
-                    };
-                }
-            }
-        }
-        BatchResult {
-            completed,
-            error: None,
-        }
     }
 
     /// The WAL record for an admission: a plain `Apply`, or — under
@@ -980,25 +876,10 @@ impl DurableManager {
         }
     }
 
-    /// The WAL-then-apply core: append, fsync, apply, in that order.
+    /// Appends an admission's record and applies it in memory, without
+    /// the fsync: the caller owns the group's shared sync and must not
+    /// acknowledge anything before it returns.
     fn log_and_apply(
-        &mut self,
-        update: &Update,
-        certs: Vec<(String, Vec<u8>)>,
-    ) -> Result<(), DurableError> {
-        let rec = self.apply_record(update, certs);
-        self.wal.append(&rec, &mut self.guard)?;
-        self.wal.sync(&mut self.guard)?;
-        self.inner.apply_update(update)?;
-        self.next_seq += 1;
-        self.since_checkpoint += 1;
-        Ok(())
-    }
-
-    /// The group-commit half of [`DurableManager::log_and_apply`]:
-    /// append and apply without the fsync. The caller owns the shared
-    /// group sync and must not acknowledge anything before it returns.
-    fn log_deferred_and_apply(
         &mut self,
         update: &Update,
         certs: Vec<(String, Vec<u8>)>,
@@ -1189,6 +1070,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Every update the group admitted is durable once the batch returns.
     #[test]
     fn batch_admission_is_durable_per_update() {
         let dir = scratch_dir("durable-batch");
@@ -1198,7 +1080,7 @@ mod tests {
             Update::insert("emp", tuple!["eve", "ghost", 50]), // rejected
             Update::insert("emp", tuple!["kim", "sales", 60]),
         ];
-        let result = mgr.process_updates(&updates);
+        let result = mgr.process_updates_grouped(&updates);
         assert!(result.error.is_none());
         let admitted: Vec<bool> = result.completed.iter().map(|(_, a)| *a).collect();
         assert_eq!(admitted, vec![true, false, true]);
@@ -1212,6 +1094,8 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A crash mid-group acknowledges nothing, and recovery holds only a
+    /// prefix of the group's admitted updates: whatever reached the log.
     #[test]
     fn injected_crash_mid_batch_acknowledges_only_the_logged_prefix() {
         let dir = scratch_dir("durable-crashbatch");
@@ -1220,27 +1104,25 @@ mod tests {
             .map(|i| Update::insert("emp", tuple![format!("w{i}").as_str(), "sales", 50]))
             .collect();
         // Budget for roughly one and a half records: the second apply's
-        // log write dies mid-record.
+        // log write dies mid-record. Unsynced bytes survive the crash.
         mgr.set_crash_budget(Some((90, false)));
-        let result = mgr.process_updates(&updates);
+        let result = mgr.process_updates_grouped(&updates);
         let err = result.error.expect("crash fires");
         assert!(err.is_injected_crash());
-        let acked = result.completed.len();
-        assert!(acked < updates.len());
+        assert!(
+            result.completed.is_empty(),
+            "a failed group acknowledges nothing"
+        );
         drop(mgr);
         let (rec, report) = DurableManager::recover(&dir).unwrap();
-        // Everything acknowledged survived; at most one unacknowledged
-        // record (logged but not yet returned) may additionally appear.
-        assert!(report.replayed_applies >= acked);
-        assert!(report.replayed_applies <= acked + 1);
-        for (i, _) in updates.iter().enumerate().take(acked) {
-            assert!(
-                rec.database().relation("emp").unwrap().contains(&tuple![
-                    format!("w{i}").as_str(),
-                    "sales",
-                    50
-                ]),
-                "acknowledged update {i} lost"
+        let logged = report.replayed_applies;
+        assert!(logged < updates.len(), "the torn record is not replayed");
+        let emp = rec.database().relation("emp").unwrap();
+        for i in 0..updates.len() {
+            assert_eq!(
+                emp.contains(&tuple![format!("w{i}").as_str(), "sales", 50]),
+                i < logged,
+                "recovery holds exactly a prefix of the group (update {i})"
             );
         }
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1352,7 +1234,7 @@ mod tests {
             Update::insert("emp", tuple!["bob", "toys", 50]),
             Update::delete("dept", tuple!["toys"]),
         ];
-        let result = mgr.process_updates(&updates);
+        let result = mgr.process_updates_grouped(&updates);
         assert!(result.error.is_none());
         let admitted: Vec<bool> = result.completed.iter().map(|(_, a)| *a).collect();
         assert_eq!(
@@ -1374,33 +1256,23 @@ mod tests {
     #[test]
     fn rejudged_rejection_names_the_violated_constraint() {
         // The insert is clean against the pre-batch state; only the
-        // re-judgment after the applied delete sees it dangle. Both batch
-        // admission paths must report the constraint that rejected it.
+        // re-judgment after the applied delete sees it dangle. The batch
+        // must report the constraint that rejected it.
         let updates = vec![
             Update::delete("dept", tuple!["toys"]),
             Update::insert("emp", tuple!["x", "toys", 50]),
         ];
-        for grouped in [true, false] {
-            let dir = scratch_dir("durable-rejudge-names");
-            let mut mgr = build_store(&dir);
-            let result = if grouped {
-                mgr.process_updates_grouped(&updates)
-            } else {
-                mgr.process_updates(&updates)
-            };
-            assert!(result.error.is_none());
-            assert!(result.completed[0].1, "the delete is admitted");
-            let (report, admitted) = &result.completed[1];
-            assert!(!admitted, "grouped={grouped}");
-            assert_eq!(
-                report.violations(),
-                vec!["referential"],
-                "grouped={grouped}"
-            );
-            assert!(report.unknowns().is_empty());
-            drop(mgr);
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
+        let dir = scratch_dir("durable-rejudge-names");
+        let mut mgr = build_store(&dir);
+        let result = mgr.process_updates_grouped(&updates);
+        assert!(result.error.is_none());
+        assert!(result.completed[0].1, "the delete is admitted");
+        let (report, admitted) = &result.completed[1];
+        assert!(!admitted);
+        assert_eq!(report.violations(), vec!["referential"]);
+        assert!(report.unknowns().is_empty());
+        drop(mgr);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1408,9 +1280,9 @@ mod tests {
         let dir_g = scratch_dir("durable-group");
         let dir_p = scratch_dir("durable-group-twin");
         let mut grouped = build_store(&dir_g);
-        let mut per_update = build_store(&dir_p);
-        // Clean, violating, jointly-violating, clean — the decision
-        // pattern must be identical in both modes.
+        let mut singles = build_store(&dir_p);
+        // Clean, violating, jointly-violating, clean — one group must
+        // decide exactly as the same updates processed one at a time.
         let updates = vec![
             Update::insert("emp", tuple!["bob", "toys", 50]),
             Update::insert("emp", tuple!["eve", "ghost", 50]), // violating
@@ -1418,17 +1290,19 @@ mod tests {
             Update::insert("emp", tuple!["kim", "sales", 60]),
         ];
         let rg = grouped.process_updates_grouped(&updates);
-        let rp = per_update.process_updates(&updates);
-        assert!(rg.error.is_none() && rp.error.is_none());
-        let decisions =
-            |r: &BatchResult| -> Vec<bool> { r.completed.iter().map(|(_, a)| *a).collect() };
-        assert_eq!(decisions(&rg), vec![true, false, false, true]);
-        assert_eq!(decisions(&rg), decisions(&rp));
+        assert!(rg.error.is_none());
+        let decisions: Vec<bool> = rg.completed.iter().map(|(_, a)| *a).collect();
+        let one_by_one: Vec<bool> = updates
+            .iter()
+            .map(|u| singles.process(u).unwrap().1)
+            .collect();
+        assert_eq!(decisions, vec![true, false, false, true]);
+        assert_eq!(decisions, one_by_one);
         // Same byte stream of appends, but one shared fsync instead of
         // one per admitted update: 2 admitted → exactly 1 fsync saved.
         assert_eq!(
             grouped.bytes_written() + 1,
-            per_update.bytes_written(),
+            singles.bytes_written(),
             "the group shares a single sync grant"
         );
         // The group is durable as a unit.
@@ -1618,6 +1492,48 @@ mod tests {
         assert!(certified.audit_skipped_remote.is_empty(), "exemption gone");
         assert_eq!(certified.audited_by_certificate, 1);
         assert!(certified.certs_replayed >= 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A remote batch re-judges later updates on the local view, where
+    /// remote relations read empty. The re-judgment's proofs for the
+    /// remote readers must not reach the log — they "prove" a violation
+    /// for an admitted update — and the first pass's pin the pre-batch
+    /// state. Certificate replay must recover the store, auditing the
+    /// remote reader as the ground mode does.
+    #[test]
+    fn remote_batch_certificates_pass_certificate_replay() {
+        let dir = scratch_dir("durable-certremote-batch");
+        let mut db = Database::new();
+        db.declare("emp", 3, Locality::Local).unwrap();
+        db.declare("rdept", 1, Locality::Remote).unwrap();
+        db.insert("emp", tuple!["ann", "sales", 80]).unwrap();
+        let mut mgr = DurableManager::create(&dir, db).unwrap();
+        mgr.add_constraint("remote-ref", "panic :- emp(E,D,S) & not rdept(D).")
+            .unwrap();
+        mgr.add_constraint("floor", FLOOR).unwrap();
+        mgr.set_certificate_logging(true);
+        let result = mgr.process_updates_with_remote(
+            &[
+                Update::insert("emp", tuple!["bob", "toys", 50]),
+                Update::insert("emp", tuple!["kim", "sales", 60]),
+            ],
+            &mut DeptRemote,
+        );
+        assert!(result.error.is_none());
+        assert!(result.completed.iter().all(|(_, admitted)| *admitted));
+        drop(mgr);
+
+        let (rec, report) =
+            DurableManager::recover_with_audit(&dir, AuditMode::CertificateReplay).unwrap();
+        assert_eq!(report.replayed_applies, 2);
+        assert_eq!(report.audited_by_certificate, 1, "floor: every apply");
+        assert_eq!(report.audit_skipped_remote, vec!["remote-ref".to_string()]);
+        assert!(rec
+            .database()
+            .relation("emp")
+            .unwrap()
+            .contains(&tuple!["kim", "sales", 60]));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -728,7 +728,11 @@ impl ConstraintManager {
             }
             report.wire = wires[u];
             report.stage_times = times[u];
-            self.certify_report(update, &mut report)?;
+            if self.certificates {
+                let t0 = Instant::now();
+                self.certify_report(update, &mut report)?;
+                report.stage_times.certify_us = micros_since(t0);
+            }
             reports.push(report);
         }
         for (pred, ok) in &hydrated {
@@ -1414,8 +1418,9 @@ impl ConstraintManager {
     }
 
     /// Attaches a proof-carrying [`Certificate`] to every definite
-    /// verdict in `report` (no-op unless
-    /// [`set_certificates`](Self::set_certificates) enabled emission).
+    /// verdict in `report` (the check loop calls it only when
+    /// [`set_certificates`](Self::set_certificates) enabled emission, and
+    /// times it as [`StageTimes::certify_us`]).
     ///
     /// The certificate is *evidence the auditor can re-derive*, not a
     /// transcript of how the engine decided: a ground witness tuple
@@ -1430,9 +1435,6 @@ impl ConstraintManager {
         update: &Update,
         report: &mut CheckReport,
     ) -> Result<(), ManagerError> {
-        if !self.certificates {
-            return Ok(());
-        }
         // A violation witness lives in the post-update state; build (or
         // reuse) the shared snapshot once, before the read-only loop.
         if report.outcomes.iter().any(|(_, o)| *o == Outcome::Violated) {
@@ -2397,7 +2399,12 @@ mod tests {
                 let back = ccpi_audit::Certificate::decode(&cert.encode()).unwrap();
                 assert!(auditor.verify(&back, &snap).is_ok());
             }
+            assert!(report.stage_times.certify_us > 0.0, "emission is timed");
         }
+        mgr.set_certificates(false);
+        let plain = mgr.check_update(&updates[1]).unwrap();
+        assert!(plain.certificates.is_empty());
+        assert_eq!(plain.stage_times.certify_us, 0.0);
     }
 
     #[test]

@@ -245,7 +245,7 @@ impl fmt::Display for WireStats {
 }
 
 /// Wall-clock microseconds spent in each pipeline stage during one
-/// check, summed across constraints — including the local tests the
+/// check, and in emitting its certificates, summed across constraints — including the local tests the
 /// check loop fans out to scoped threads, so the sum can exceed the
 /// check's wall clock. Attribution only: timings vary run to run, so — like
 /// the stage-4 kinds — they are excluded from [`CheckReport`] equality.
@@ -267,6 +267,9 @@ pub struct StageTimes {
     /// Stage 4: delta-seeded / snapshot full checks and verdict-cache
     /// probes.
     pub stage4_us: f64,
+    /// Certificate emission for the finished report (witness search,
+    /// pins, remote rows); zero unless certificates are enabled.
+    pub certify_us: f64,
 }
 
 impl StageTimes {
@@ -278,9 +281,10 @@ impl StageTimes {
         self.independence_us += other.independence_us;
         self.local_test_us += other.local_test_us;
         self.stage4_us += other.stage4_us;
+        self.certify_us += other.certify_us;
     }
 
-    /// Total microseconds across all stages.
+    /// Total microseconds across all stages and certificate emission.
     pub fn total_us(&self) -> f64 {
         self.subsumption_us
             + self.prefilter_us
@@ -288,6 +292,7 @@ impl StageTimes {
             + self.independence_us
             + self.local_test_us
             + self.stage4_us
+            + self.certify_us
     }
 }
 

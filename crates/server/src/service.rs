@@ -26,10 +26,14 @@
 //! call (one shared fsync), splits the verdicts back along job
 //! boundaries, and only then acks each client. The deeper the queue, the
 //! larger the group: the service self-clocks into batching exactly when
-//! batching pays. The invariant is inherited verbatim from the durable
-//! layer: **ack ⇒ fsync'd ⇒ admitted under the serialized re-judgment**.
-//! With [`ServerConfig::group_commit`] off, the admit thread calls the
-//! per-update-fsync pipeline instead — the measured baseline for E13.
+//! batching pays. The invariant is the durable layer's one admission
+//! contract: **ack ⇒ fsync'd ⇒ admitted under the serialized
+//! re-judgment**.
+//!
+//! **Shards.** With a [`ShardAssignment`], [`serve`] refuses to start
+//! unless every registered constraint is fragment-closed under the
+//! partitioning ([`ShardScope::FragmentLocal`]): a shard judges each
+//! constraint on its own fragment, which is exact only for those.
 //!
 //! **MVCC reads.** After every commit group the admit thread publishes a
 //! fresh [`DatabaseSnapshot`]; `Query`/`Version` requests are answered by
@@ -57,6 +61,8 @@
 
 use crate::proto::{self, AdmitResult, ServerRequest, ServerResponse};
 use ccpi::durable::DurableManager;
+use ccpi::prelude::parse_constraint;
+use ccpi::{constraint_scope, ShardScope};
 use ccpi_site::transport::{read_frame, write_frame};
 use ccpi_storage::{DatabaseSnapshot, Partitioning, Update};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -104,6 +110,23 @@ impl ShardAssignment {
         }
         Ok(())
     }
+
+    /// `Err(InvalidInput)` naming the first registered constraint that is
+    /// [`ShardScope::CrossShard`] under `parts`: its fragment verdicts
+    /// could miss a witness spanning two shards.
+    fn judges_exactly(&self, mgr: &DurableManager) -> std::io::Result<()> {
+        let invalid = |m: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, m);
+        for (name, source, _) in mgr.manager().durable_constraints() {
+            let constraint = parse_constraint(&source).map_err(|e| invalid(e.to_string()))?;
+            if constraint_scope(&constraint, &self.parts) == ShardScope::CrossShard {
+                return Err(invalid(format!(
+                    "constraint `{name}` is cross-shard under this partitioning: \
+                     a shard cannot judge it on its fragment alone"
+                )));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Why a `Submit` was refused before (or instead of) admission. Most
@@ -128,10 +151,6 @@ enum Rejection {
 /// How the admission service commits and what it records.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Commit each admit window with one shared fsync (the default).
-    /// `false` falls back to the per-update-fsync pipeline — functionally
-    /// identical, measurably slower; kept as the E13 baseline.
-    pub group_commit: bool,
     /// Record every `(update, admitted)` decision in submission order,
     /// readable via [`ServerHandle::decisions`]. Used by the soundness
     /// twin in the benchmark; costs a mutex push per update.
@@ -143,10 +162,11 @@ pub struct ServerConfig {
     /// job never enters the pipeline, so the client may safely resend
     /// after a backoff. Clamped to at least 1.
     pub queue_depth: usize,
-    /// Shard identity for partitioned deployments: when set, updates
-    /// owned by another shard are refused at validation (before the WAL),
-    /// with an error naming the owner. `None` (the default) serves the
-    /// whole keyspace.
+    /// Shard identity for partitioned deployments: when set, [`serve`]
+    /// refuses a store with a cross-shard constraint, and updates owned by
+    /// another shard are refused at validation (before the WAL), with an
+    /// error naming the owner. `None` (the default) serves the whole
+    /// keyspace.
     pub shard: Option<ShardAssignment>,
     /// Return proof-carrying certificates with every verdict
     /// ([`AdmitResult::certificates`]) and log them into the WAL for
@@ -160,7 +180,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            group_commit: true,
             record_decisions: false,
             queue_depth: 1024,
             shard: None,
@@ -225,12 +244,17 @@ struct Shared {
 /// Binds `addr` and serves the admission protocol until the returned
 /// handle is stopped or dropped. The server takes ownership of the
 /// durable manager; after `stop`, re-open the store with
-/// [`DurableManager::recover`].
+/// [`DurableManager::recover`]. A shard server whose store holds a
+/// cross-shard constraint is refused with
+/// [`InvalidInput`](std::io::ErrorKind::InvalidInput).
 pub fn serve(
     mut mgr: DurableManager,
     addr: impl ToSocketAddrs,
     config: ServerConfig,
 ) -> std::io::Result<ServerHandle> {
+    if let Some(assignment) = &config.shard {
+        assignment.judges_exactly(&mgr)?;
+    }
     if config.certificates {
         mgr.set_certificate_logging(true);
     }
@@ -380,11 +404,7 @@ fn commit_group(
         .iter()
         .flat_map(|j| j.updates.iter().cloned())
         .collect();
-    let result = if config.group_commit {
-        mgr.process_updates_grouped(&flat)
-    } else {
-        mgr.process_updates(&flat)
-    };
+    let result = mgr.process_updates_grouped(&flat);
     if result.error.is_some() && result.completed.is_empty() && window.len() > 1 {
         // The flattened batch failed before anything was admitted —
         // typically one job's malformed update failing the upfront check
@@ -396,10 +416,9 @@ fn commit_group(
         }
         return;
     }
-    // `completed` is the acknowledged prefix: every verdict in it is
-    // fsync'd (group mode: under the group's shared sync). Updates past
-    // it were never acknowledged and, by the WAL contract, will not
-    // survive recovery.
+    // `completed` is the whole group once its shared fsync returned, or
+    // empty: a failed group acknowledges nothing, and recovery holds at
+    // most a prefix of what it admitted.
     let verdicts: Vec<AdmitResult> = result
         .completed
         .iter()
@@ -452,8 +471,8 @@ fn commit_group(
         let reply = if chunk.len() == n {
             Ok(chunk)
         } else {
-            // This job straddles the failure point; none of its verdicts
-            // were fully acknowledged.
+            // The group failed: none of this job's verdicts were
+            // acknowledged.
             Err(failure.clone())
         };
         job.reply.send(reply).ok();
@@ -802,33 +821,43 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn per_update_fsync_mode_reaches_the_same_verdicts() {
-        let dir = scratch_dir("server-perupdate");
+    /// Serves `source` as shard 0 under `parts`, expecting the refusal.
+    fn refused_shard(source: &str, parts: Partitioning) -> std::io::Error {
+        let dir = scratch_dir("server-crossshard");
+        let mut mgr = DurableManager::create(&dir, emp_db()).unwrap();
+        mgr.add_constraint("rule", source).unwrap();
         let config = ServerConfig {
-            group_commit: false,
-            record_decisions: true,
+            shard: Some(ShardAssignment { parts, shard: 0 }),
             ..ServerConfig::default()
         };
-        let server = serve(build_store(&dir), "127.0.0.1:0", config).unwrap();
-        let mut client = AdmissionClient::connect(server.addr());
-        let results = client
-            .submit(&[
-                Update::insert("emp", tuple!["bob", "toys", 50]),
-                Update::insert("emp", tuple!["low", "toys", 5]),
-            ])
-            .unwrap();
-        assert!(results[0].admitted);
-        assert!(!results[1].admitted);
-        assert_eq!(
-            server.decisions(),
-            vec![
-                (Update::insert("emp", tuple!["bob", "toys", 50]), true),
-                (Update::insert("emp", tuple!["low", "toys", 5]), false),
-            ]
-        );
-        server.stop();
+        let err = match serve(mgr, "127.0.0.1:0", config) {
+            Ok(server) => {
+                server.stop();
+                panic!("a cross-shard constraint was served")
+            }
+            Err(e) => e,
+        };
         std::fs::remove_dir_all(&dir).unwrap();
+        err
+    }
+
+    /// `emp` routed by name and `dept` by department: a dangling-reference
+    /// witness spans two fragments, and a shard would reject valid inserts.
+    #[test]
+    fn shard_server_refuses_a_referential_constraint_across_keys() {
+        let parts = Partitioning::new(2).hash("emp", 0).hash("dept", 0);
+        let err = refused_shard("panic :- emp(E,D,S) & not dept(D).", parts);
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("`rule`"), "{err}");
+    }
+
+    /// `emp` routed by department: two rows sharing a name can live on two
+    /// shards, and each shard would admit its half of the duplicate.
+    #[test]
+    fn shard_server_refuses_a_unique_name_rule_across_departments() {
+        let parts = Partitioning::new(2).hash("emp", 1);
+        let err = refused_shard("panic :- emp(E,D,S) & emp(E,D2,S2) & D < D2.", parts);
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     }
 
     /// Churn through a deliberately tiny admission queue: many clients

@@ -165,9 +165,9 @@ fn leftover_checkpoint_tmp_is_ignored_and_cleaned() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A crash mid-batch acknowledges exactly the logged prefix: recovery
-/// holds every acknowledged update and at most one unacknowledged
-/// in-flight record that reached the log.
+/// A crash mid-batch acknowledges nothing — the batch is one commit
+/// group — and recovery holds only a prefix of the group's admitted
+/// updates (here none: the lost page cache takes the unsynced group).
 #[test]
 fn crash_mid_batch_never_loses_an_acknowledged_update() {
     let dir = scratch_dir("crt-batch");
@@ -176,24 +176,24 @@ fn crash_mid_batch_never_loses_an_acknowledged_update() {
         .map(|i| Update::insert("emp", tuple![format!("w{i}").as_str(), "sales", 50]))
         .collect();
     mgr.set_crash_budget(Some((150, true)));
-    let result = mgr.process_updates(&updates);
+    let result = mgr.process_updates_grouped(&updates);
     let err = result.error.expect("budget fires mid-batch");
     assert!(err.is_injected_crash(), "{err}");
-    let acked = result.completed.len();
-    assert!(acked < updates.len());
+    assert!(
+        result.completed.is_empty(),
+        "a failed group acknowledges nothing"
+    );
     drop(mgr);
 
     let (rec, report) = DurableManager::recover(&dir).unwrap();
-    assert!(report.replayed_applies >= acked, "acknowledged update lost");
-    assert!(
-        report.replayed_applies <= acked + 1,
-        "unlogged update applied"
-    );
-    for i in 0..acked {
-        assert!(has_emp(&rec, i), "acknowledged update {i} lost");
-    }
-    for i in acked + 1..updates.len() {
-        assert!(!has_emp(&rec, i), "never-logged update {i} appeared");
+    let logged = report.replayed_applies;
+    assert!(logged < updates.len(), "unlogged update applied");
+    for i in 0..updates.len() {
+        assert_eq!(
+            has_emp(&rec, i),
+            i < logged,
+            "recovery holds exactly a prefix of the group (update {i})"
+        );
     }
     fs::remove_dir_all(&dir).unwrap();
 }
@@ -218,26 +218,33 @@ impl RemoteSource for MapRemote {
     }
 }
 
-/// Remote batches hydrate each remote relation once per batch, while the
-/// WAL stays strictly per update: after a restart every admitted update
-/// of the batch is present and every rejected one absent.
-#[test]
-fn remote_batch_hydrates_once_and_logs_per_update() {
-    let dir = scratch_dir("crt-remote");
+/// A store over a remote `salRange`, with a pay-floor constraint.
+fn remote_store(dir: &Path) -> DurableManager {
     let mut view = Database::new();
     view.declare("emp", 3, Locality::Local).unwrap();
     view.declare("salRange", 3, Locality::Remote).unwrap();
     view.insert("emp", tuple!["ann", "sales", 80]).unwrap();
-    let mut mgr = DurableManager::create(&dir, view).unwrap();
+    let mut mgr = DurableManager::create(dir, view).unwrap();
     mgr.add_constraint(
         "pay-floor",
         "panic :- emp(E,D,S) & salRange(D,Low,High) & S < Low.",
     )
     .unwrap();
-    let mut remote = MapRemote {
+    mgr
+}
+
+/// Remote batches hydrate each remote relation once per batch and share
+/// one fsync: after a restart every admitted update of the batch is
+/// present and every rejected one absent.
+#[test]
+fn remote_batch_hydrates_once_and_shares_one_fsync() {
+    let dir = scratch_dir("crt-remote");
+    let mut mgr = remote_store(&dir);
+    let remote_rows = || MapRemote {
         sal_rows: vec![tuple!["sales", 50, 100]],
         fetches: 0,
     };
+    let mut remote = remote_rows();
 
     let updates = vec![
         Update::insert("emp", tuple!["bob", "sales", 60]),
@@ -249,6 +256,22 @@ fn remote_batch_hydrates_once_and_logs_per_update() {
     let admitted: Vec<bool> = result.completed.iter().map(|(_, a)| *a).collect();
     assert_eq!(admitted, vec![true, false, true]);
     assert_eq!(remote.fetches, 1, "one hydration for the whole batch");
+
+    // The same updates one batch each: one fsync per admitted update, so
+    // the group saved one sync per admitted update past the first.
+    let singles_dir = scratch_dir("crt-remote-singles");
+    let mut singles = remote_store(&singles_dir);
+    for u in &updates {
+        let r = singles.process_updates_with_remote(std::slice::from_ref(u), &mut remote_rows());
+        assert!(r.error.is_none());
+    }
+    assert_eq!(
+        mgr.bytes_written() + 1,
+        singles.bytes_written(),
+        "two admitted updates share one sync grant"
+    );
+    drop(singles);
+    fs::remove_dir_all(&singles_dir).unwrap();
     drop(mgr);
 
     let (rec, report) = DurableManager::recover(&dir).unwrap();
